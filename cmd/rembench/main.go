@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"rem"
@@ -90,7 +91,7 @@ func main() {
 
 	rep := report{Quick: *quick}
 	for _, s := range specs() {
-		if *filter != "" && !contains(s.name, *filter) {
+		if *filter != "" && !strings.Contains(s.name, *filter) {
 			continue
 		}
 		bt := s.fullTime
@@ -221,28 +222,17 @@ func gate(rep report, path string) error {
 		}
 		verdict := "ok"
 		if len(bad) > 0 {
-			verdict = "FAIL: " + join(bad, "; ")
-			failures = append(failures, r.Name+" ("+join(bad, "; ")+")")
+			verdict = "FAIL: " + strings.Join(bad, "; ")
+			failures = append(failures, r.Name+" ("+strings.Join(bad, "; ")+")")
 		}
 		fmt.Printf("%-24s %10.0f→%-10.0f %10d→%-10d %12d→%-12d  %s\n",
 			r.Name, b.NsPerOp, r.NsPerOp, b.AllocsPerOp, r.AllocsPerOp,
 			b.BytesPerOp, r.BytesPerOp, verdict)
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed: %s", len(failures), join(failures, "; "))
+		return fmt.Errorf("%d benchmark(s) regressed: %s", len(failures), strings.Join(failures, "; "))
 	}
 	return nil
-}
-
-func join(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
 }
 
 // specs returns the pinned benchmark set. Seeds and workloads are
@@ -465,15 +455,6 @@ func benchFleet1k(b *testing.B) {
 // two seconds.
 func benchFleet100k(b *testing.B) {
 	benchFleetEpochs(b, fleetSpec(100_000, 0.05, 0.4), false)
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 func fatal(err error) {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -145,6 +146,42 @@ func TestClusterRunEndToEnd(t *testing.T) {
 	}
 	if assigns != 4 {
 		t.Errorf("journal has %d assign entries, want 4", assigns)
+	}
+}
+
+// TestShardedRunRecordsEpochWallTime: the coordinator times every
+// barrier round of a sharded run, so the epoch wall-time gauge and
+// histogram carry real measurements instead of zeros.
+func TestShardedRunRecordsEpochWallTime(t *testing.T) {
+	s, ts := newTestServerCfg(t, serverConfig{Role: roleCoordinator, MemberTTL: time.Hour})
+	newMemberRemserve(t, s, "m0")
+	newMemberRemserve(t, s, "m1")
+	v := postRun(t, ts, fmt.Sprintf(clusterSpecJSON, 2, false))
+	waitState(t, ts, v.ID, stateDone)
+
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+	req.Header.Set("Accept", "text/plain")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	values := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(name, "#") {
+			if f, err := strconv.ParseFloat(val, 64); err == nil {
+				values[name] = f
+			}
+		}
+	}
+	if values["remserve_epochs_total"] == 0 {
+		t.Fatalf("no epochs recorded:\n%s", body)
+	}
+	for _, name := range []string{"remserve_last_epoch_ns", "remserve_epoch_wall_ms_sum"} {
+		if values[name] <= 0 {
+			t.Errorf("%s = %g, want > 0", name, values[name])
+		}
 	}
 }
 

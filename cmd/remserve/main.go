@@ -65,7 +65,6 @@ func main() {
 	maxBody := flag.Int64("max-body", 1<<20, "maximum POST /runs body size in bytes")
 	maxActive := flag.Int("max-active", 4, "fleet runs executing concurrently; further runs queue")
 	maxQueue := flag.Int("max-queue", 8, "pending-run queue depth, 0 for none; beyond it POST /runs returns 503")
-	retries := flag.Int("retries", 2, "retry attempts for run starts that fail before producing output (-1 disables)")
 	journalPath := flag.String("journal", "", "crash-safe run journal path; on restart, interrupted runs surface as failed (sharded runs on a coordinator are re-queued)")
 	role := flag.String("role", "single", "cluster role: single, coordinator, or member")
 	coordURL := flag.String("coordinator", "", "coordinator base URL to join (member role)")
@@ -106,7 +105,6 @@ func main() {
 		MaxBody:         *maxBody,
 		MaxActive:       *maxActive,
 		MaxQueue:        mq,
-		Retries:         *retries,
 		JournalPath:     *journalPath,
 		Role:            *role,
 		MemberTTL:       *memberTTL,

@@ -18,7 +18,7 @@ type serverMetrics struct {
 	reg *obs.Registry
 
 	started, completed, canceled, failed *obs.Counter
-	shed, recovered, retried, resumed    *obs.Counter
+	shed, recovered, resumed             *obs.Counter
 	journalErrors, heartbeatMisses       *obs.Counter
 	epochs, epochAllocs                  *obs.Counter
 	epochWall                            *obs.Histogram
@@ -37,7 +37,6 @@ func newServerMetrics() *serverMetrics {
 	reg.Counter("remserve_runs_failed_total", "Fleet runs that finished failed.")
 	reg.Counter("remserve_runs_shed_total", "Run requests rejected at capacity (503).")
 	reg.Counter("remserve_runs_recovered_total", "Interrupted runs surfaced as failed at boot.")
-	reg.Counter("remserve_runs_retried_total", "Transient run-start retries.")
 	// Registry-only (kept out of the legacy JSON view, whose shape is
 	// pinned by existing clients).
 	reg.Counter("remserve_runs_resumed_total", "Sharded runs re-queued after a coordinator restart.")
@@ -63,7 +62,6 @@ func newServerMetrics() *serverMetrics {
 		failed:          sh.Counter("remserve_runs_failed_total"),
 		shed:            sh.Counter("remserve_runs_shed_total"),
 		recovered:       sh.Counter("remserve_runs_recovered_total"),
-		retried:         sh.Counter("remserve_runs_retried_total"),
 		resumed:         sh.Counter("remserve_runs_resumed_total"),
 		journalErrors:   sh.Counter("remserve_journal_errors_total"),
 		heartbeatMisses: sh.Counter("cluster_heartbeat_misses_total"),
@@ -99,7 +97,6 @@ func metricsViewFrom(snap *rem.MetricsSnapshot) metricsView {
 		RunsFailed:    val("remserve_runs_failed_total"),
 		RunsShed:      val("remserve_runs_shed_total"),
 		RunsRecovered: val("remserve_runs_recovered_total"),
-		RunsRetried:   val("remserve_runs_retried_total"),
 		Handovers:     val("remserve_handovers"),
 		Failures:      val("remserve_failures"),
 		Blocked:       val("remserve_blocked"),

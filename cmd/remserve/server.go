@@ -74,19 +74,10 @@ type run struct {
 	// state "canceled") from a shutdown- or deadline-induced context
 	// cancellation (terminal state "failed").
 	userCanceled bool
-	// observed flips once the fleet produced any event or progress;
-	// a failed start is only retried while it is still false.
-	observed bool
 	// resumeHist is the journaled barrier history a recovered sharded
 	// run resumes from (nil for fresh runs). Set before the executing
 	// goroutine starts and read only there — never mutated after.
 	resumeHist [][]int
-}
-
-func (r *run) markObserved() {
-	r.mu.Lock()
-	r.observed = true
-	r.mu.Unlock()
 }
 
 func (r *run) wake() {
@@ -162,10 +153,6 @@ type serverConfig struct {
 	// MaxQueue bounds the pending queue; beyond MaxActive+MaxQueue
 	// non-terminal runs, POST /runs sheds load with 503 + Retry-After.
 	MaxQueue int
-	// Retries is the number of times a run start is retried after a
-	// transient failure (one that produced no events or progress and
-	// was not a cancellation). Negative disables retries.
-	Retries int
 	// JournalPath enables the crash-safe run journal; runs found
 	// started-but-unfinished at boot are recovered as failed —
 	// except sharded runs on a coordinator, which are re-queued and
@@ -201,12 +188,6 @@ func (c serverConfig) defaulted() serverConfig {
 	}
 	if c.MaxQueue < 0 { // negative disables queuing entirely
 		c.MaxQueue = 0
-	}
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
 	}
 	if c.Role == "" {
 		c.Role = roleSingle
@@ -456,7 +437,6 @@ type metricsView struct {
 	RunsFailed    int           `json:"runs_failed"`
 	RunsShed      int           `json:"runs_shed"`
 	RunsRecovered int           `json:"runs_recovered"`
-	RunsRetried   int           `json:"runs_retried"`
 	Handovers     int           `json:"handovers"`
 	Failures      int           `json:"failures"`
 	Blocked       int           `json:"blocked"`
@@ -643,8 +623,9 @@ func (s *server) execute(ctx context.Context, r *run, fs rem.FleetSpec) {
 	r.mu.Unlock()
 
 	// Sharded runs execute on the cluster plane, which owns its own
-	// retry story (member failover and reassignment); the local
-	// transient-retry loop below is for in-process runs only.
+	// retry story (member failover and reassignment). An in-process run
+	// is a pure function of its spec, so a failed one is not retried:
+	// it would fail the same way again.
 	if r.spec.Shards > 0 && s.coord != nil {
 		res, err := s.runCluster(ctx, r, fs)
 		if err != nil {
@@ -654,66 +635,37 @@ func (s *server) execute(ctx context.Context, r *run, fs rem.FleetSpec) {
 		return
 	}
 
-	// Transient failures at run start (before the fleet produced any
-	// observable output) are retried with a short backoff; anything
-	// after first output is not, to avoid replaying partial streams.
-	var res *rem.FleetResult
-	var err error
-	for attempt := 0; ; attempt++ {
-		opts := rem.FleetOptions{
-			Observer: func(ev rem.FleetEvent) {
-				r.markObserved()
-				r.appendEvent(ev)
-			},
-			Progress: func(p rem.FleetProgress) {
-				r.markObserved()
-				r.setProgress(p)
-				s.observeEpoch(p)
-			},
-		}
-		if r.spec.Telemetry {
-			// A fresh plane per attempt: a retried start must not
-			// inherit a failed attempt's partial metrics or events.
-			tel := rem.NewTelemetry(rem.TelemetryConfig{})
-			r.mu.Lock()
-			r.tel, r.timeline, r.snap = tel, nil, nil
-			r.mu.Unlock()
-			opts.Telemetry = tel
-			opts.OnTimeline = func(evs []rem.TimelineEvent) {
-				r.mu.Lock()
-				r.timeline = append(r.timeline, evs...)
-				r.wake()
-				r.mu.Unlock()
-			}
-			// Refresh the snapshot at every epoch barrier: the
-			// coordinator calls Progress while the worker pool is
-			// parked, which is exactly when a snapshot is race-free.
-			prog := opts.Progress
-			opts.Progress = func(p rem.FleetProgress) {
-				prog(p)
-				r.mu.Lock()
-				r.snap = tel.Snapshot()
-				r.mu.Unlock()
-			}
-		}
-		res, err = rem.RunFleetWithOptions(ctx, fs, opts)
-		if err == nil || ctx.Err() != nil {
-			break
-		}
+	opts := rem.FleetOptions{
+		Observer: r.appendEvent,
+		Progress: func(p rem.FleetProgress) {
+			r.setProgress(p)
+			s.observeEpoch(p)
+		},
+	}
+	if r.spec.Telemetry {
+		tel := rem.NewTelemetry(rem.TelemetryConfig{})
 		r.mu.Lock()
-		observed := r.observed
+		r.tel = tel
 		r.mu.Unlock()
-		if observed || attempt >= s.cfg.Retries {
-			break
+		opts.Telemetry = tel
+		opts.OnTimeline = func(evs []rem.TimelineEvent) {
+			r.mu.Lock()
+			r.timeline = append(r.timeline, evs...)
+			r.wake()
+			r.mu.Unlock()
 		}
-		s.mu.Lock()
-		s.sm.retried.Inc()
-		s.mu.Unlock()
-		select {
-		case <-time.After(time.Duration(attempt+1) * 10 * time.Millisecond):
-		case <-ctx.Done():
+		// Refresh the snapshot at every epoch barrier: the
+		// coordinator calls Progress while the worker pool is
+		// parked, which is exactly when a snapshot is race-free.
+		prog := opts.Progress
+		opts.Progress = func(p rem.FleetProgress) {
+			prog(p)
+			r.mu.Lock()
+			r.snap = tel.Snapshot()
+			r.mu.Unlock()
 		}
 	}
+	res, err := rem.RunFleetWithOptions(ctx, fs, opts)
 	if err != nil {
 		res = nil
 	}
@@ -734,14 +686,12 @@ func (s *server) execute(ctx context.Context, r *run, fs rem.FleetSpec) {
 func (s *server) runCluster(ctx context.Context, r *run, fs rem.FleetSpec) (*rem.FleetResult, error) {
 	hooks := cluster.RunHooks{
 		OnEvents: func(evs []rem.FleetEvent) {
-			r.markObserved()
 			r.mu.Lock()
 			r.events = append(r.events, evs...)
 			r.wake()
 			r.mu.Unlock()
 		},
 		OnProgress: func(p rem.FleetProgress) {
-			r.markObserved()
 			r.setProgress(p)
 			s.observeEpoch(p)
 		},

@@ -253,6 +253,30 @@ func TestConcurrentRunsAndCancel(t *testing.T) {
 	_ = s
 }
 
+// TestEngineRejectedSpecFails: a spec that passes admission but fails
+// the engine's own validation (more workers than UEs) ends failed with
+// the engine's error and counts as exactly one failed run.
+func TestEngineRejectedSpecFails(t *testing.T) {
+	_, ts := newTestServer(t)
+	v := postRun(t, ts, `{"ues":2,"workers":3,"dataset":"beijing-shanghai","mode":"rem","speed_kmh":330,"duration_sec":2,"seed":3}`)
+	done := waitState(t, ts, v.ID, stateFailed)
+	if !strings.Contains(done.Error, "3 workers exceed 2 UEs") {
+		t.Fatalf("run error = %q, want the engine's workers error", done.Error)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m metricsView
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.RunsStarted != 1 || m.RunsFailed != 1 || m.RunsCompleted != 0 {
+		t.Fatalf("metrics: %+v", m)
+	}
+}
+
 func TestBaseContextCancelTearsDownRuns(t *testing.T) {
 	// Simulates SIGTERM: cancelling the server's base context must tear
 	// down in-flight fleets, and since the client never asked for the

@@ -8,7 +8,8 @@ import (
 	"log"
 
 	"rem"
-	"rem/internal/tcpsim"
+	"rem/internal/mobility"
+	"rem/internal/transport"
 )
 
 func main() {
@@ -39,13 +40,17 @@ func main() {
 				simTotal += res.Duration
 				// TCP stalls from failure outages (handover
 				// interruptions are too short to stall TCP).
-				var outages []tcpsim.Outage
+				var outages []mobility.Outage
 				for _, o := range res.Outages {
 					if o.Duration >= 0.2 {
-						outages = append(outages, tcpsim.Outage{Start: o.Start, Duration: o.Duration})
+						outages = append(outages, o)
 					}
 				}
-				stallTotal += tcpsim.Replay(outages, tcpsim.DefaultConfig()).TotalStallSec
+				var seedStall float64
+				for _, st := range transport.ObserveTCPStalls(nil, outages) {
+					seedStall += st.Duration
+				}
+				stallTotal += seedStall
 			}
 			fmt.Printf("%-10s %-8s %10d %10d %11.1f%% %18.1f\n",
 				fmt.Sprintf("%.0f km/h", speed), mode,

@@ -131,6 +131,12 @@ type runState struct {
 	// replayed epochs' events and timeline can be re-emitted. Failover
 	// replays never collect — their epochs were already emitted.
 	collectReplay bool
+	// events / timeline are the merged-epoch buffers emitEpoch reuses;
+	// handovers, failures and blocked are the cumulative counters it
+	// advances. Coordinator goroutine only.
+	events                       []fleet.Event
+	timeline                     []obs.Event
+	handovers, failures, blocked int
 
 	mu          sync.Mutex
 	assignments []Assignment
@@ -141,6 +147,38 @@ func (rs *runState) barrier(global []int) {
 	rs.loadHist = append(rs.loadHist, global)
 	if rs.hooks.OnBarrier != nil {
 		rs.hooks.OnBarrier(len(rs.loadHist)-1, global)
+	}
+}
+
+// emitEpoch merges one epoch's shard responses (in shard order) into
+// the run's output stream: events stably sorted into (time, UE) order
+// and counted exactly as the single-process engine counts its own, the
+// timeline sorted into canonical order, and both handed to the hooks.
+func (rs *runState) emitEpoch(steps []*stepResponse) {
+	rs.events, rs.timeline = rs.events[:0], rs.timeline[:0]
+	for _, sr := range steps {
+		rs.events = append(rs.events, sr.Events...)
+		rs.timeline = append(rs.timeline, sr.Timeline...)
+	}
+	sortFleetEvents(rs.events)
+	for _, ev := range rs.events {
+		switch ev.Type {
+		case fleet.EventHandover:
+			rs.handovers++
+		case fleet.EventFailure:
+			rs.failures++
+		case fleet.EventBlocked:
+			rs.blocked++
+		}
+	}
+	if len(rs.events) > 0 && rs.hooks.OnEvents != nil {
+		rs.hooks.OnEvents(rs.events)
+	}
+	if len(rs.timeline) > 0 {
+		obs.SortEvents(rs.timeline)
+		if rs.hooks.OnTimeline != nil {
+			rs.hooks.OnTimeline(rs.timeline)
+		}
 	}
 }
 
@@ -237,9 +275,6 @@ func (c *Coordinator) RunFleet(ctx context.Context, spec fleet.Spec, opts RunOpt
 			return nil, err
 		}
 	}
-	var handovers, failures, blocked int
-	var events []fleet.Event
-	var timeline []obs.Event
 	resumeDone := false
 	var peaks []int
 	if resumed {
@@ -259,40 +294,21 @@ func (c *Coordinator) RunFleet(ctx context.Context, spec fleet.Spec, opts RunOpt
 		// Re-emit the replayed epochs' merged output: the restarted
 		// coordinator lost its buffered streams, and determinism makes
 		// the replayed batches byte-identical to the originals.
+		for _, sh := range sts {
+			if len(sh.replay) != startEpoch {
+				c.abortShards(rs, sts)
+				return nil, fmt.Errorf("cluster: shard %d replayed %d epochs, want %d", sh.idx, len(sh.replay), startEpoch)
+			}
+		}
+		batch := make([]*stepResponse, len(sts))
 		for k := 0; k < startEpoch; k++ {
-			events = events[:0]
-			timeline = timeline[:0]
-			for _, sh := range sts {
-				if len(sh.replay) != startEpoch {
-					c.abortShards(rs, sts)
-					return nil, fmt.Errorf("cluster: shard %d replayed %d epochs, want %d", sh.idx, len(sh.replay), startEpoch)
-				}
-				events = append(events, sh.replay[k].Events...)
-				timeline = append(timeline, sh.replay[k].Timeline...)
+			for i, sh := range sts {
+				batch[i] = &sh.replay[k]
 				if k == startEpoch-1 && sh.replay[k].Done {
 					resumeDone = true
 				}
 			}
-			sortFleetEvents(events)
-			for _, ev := range events {
-				switch ev.Type {
-				case fleet.EventHandover:
-					handovers++
-				case fleet.EventFailure:
-					failures++
-				case fleet.EventBlocked:
-					blocked++
-				}
-			}
-			if len(events) > 0 && rs.hooks.OnEvents != nil {
-				rs.hooks.OnEvents(events)
-			}
-			if len(timeline) > 0 {
-				obs.SortEvents(timeline)
-				if rs.hooks.OnTimeline != nil {
-					rs.hooks.OnTimeline(timeline)
-				}
-			}
+			rs.emitEpoch(batch)
 		}
 		for _, sh := range sts {
 			sh.replay = nil
@@ -304,53 +320,31 @@ func (c *Coordinator) RunFleet(ctx context.Context, spec fleet.Spec, opts RunOpt
 
 	// The epoch loop: step every shard in parallel against the same
 	// frozen global loads, merge the epoch's output, refresh the
-	// globals. Counters accumulate from the merged event stream exactly
-	// as the single-process engine accumulates from its own. A resumed
-	// run whose history already covers every epoch skips the loop and
-	// goes straight to finish.
+	// globals. A resumed run whose history already covers every epoch
+	// skips the loop and goes straight to finish. Each round is timed
+	// for the Progress heartbeat only; wall time never reaches the
+	// result, snapshot or timeline.
 	epoch := startEpoch
 	for !resumeDone {
+		roundStart := time.Now()
 		steps, err := c.stepAll(ctx, rs, sts, epoch)
 		if err != nil {
 			c.abortShards(rs, sts)
 			return nil, err
 		}
 		done := steps[0].Done
-		events = events[:0]
-		timeline = timeline[:0]
 		global = make([]int, len(rs.loadHist[0]))
 		for _, sr := range steps {
 			if sr.Done != done {
 				c.abortShards(rs, sts)
 				return nil, fmt.Errorf("cluster: shards disagree on epoch schedule at epoch %d", epoch)
 			}
-			events = append(events, sr.Events...)
-			timeline = append(timeline, sr.Timeline...)
 			if err := addLoads(global, sr.Loads); err != nil {
 				c.abortShards(rs, sts)
 				return nil, err
 			}
 		}
-		sortFleetEvents(events)
-		for _, ev := range events {
-			switch ev.Type {
-			case fleet.EventHandover:
-				handovers++
-			case fleet.EventFailure:
-				failures++
-			case fleet.EventBlocked:
-				blocked++
-			}
-		}
-		if len(events) > 0 && rs.hooks.OnEvents != nil {
-			rs.hooks.OnEvents(events)
-		}
-		if len(timeline) > 0 {
-			obs.SortEvents(timeline)
-			if rs.hooks.OnTimeline != nil {
-				rs.hooks.OnTimeline(timeline)
-			}
-		}
+		rs.emitEpoch(steps)
 		rs.barrier(global)
 		maxLoads(peaks, global)
 		epoch++
@@ -361,7 +355,8 @@ func (c *Coordinator) RunFleet(ctx context.Context, spec fleet.Spec, opts RunOpt
 			}
 			rs.hooks.OnProgress(fleet.Progress{
 				SimTime: simT, Attached: sumLoads(global),
-				Handovers: handovers, Failures: failures, Blocked: blocked,
+				Handovers: rs.handovers, Failures: rs.failures, Blocked: rs.blocked,
+				WallStep: time.Since(roundStart),
 			})
 		}
 		if done {

@@ -5,7 +5,8 @@ import (
 	"testing"
 
 	"rem/internal/dsp"
-	"rem/internal/tcpsim"
+	"rem/internal/mobility"
+	"rem/internal/transport"
 )
 
 func TestPreFailureWindow(t *testing.T) {
@@ -109,9 +110,48 @@ func TestGridCorrelation(t *testing.T) {
 }
 
 func TestLongOutages(t *testing.T) {
-	in := []tcpsim.Outage{{Start: 0, Duration: 0.05}, {Start: 1, Duration: 0.3}, {Start: 2, Duration: 0.19}}
+	in := []mobility.Outage{{Start: 0, Duration: 0.05}, {Start: 1, Duration: 0.3}, {Start: 2, Duration: 0.19}}
 	outs := longOutages(in, 0.2)
 	if len(outs) != 1 || outs[0].Duration != 0.3 {
 		t.Fatalf("longOutages = %v", outs)
+	}
+}
+
+func TestThroughputTrace(t *testing.T) {
+	ts, mbps := throughputTrace(2, 3, 10, 0.1)
+	if len(ts) != len(mbps) || len(ts) < 100 {
+		t.Fatalf("trace has %d times and %d rates, want ≥100 matched samples", len(ts), len(mbps))
+	}
+	at := func(tt float64) float64 {
+		for i, x := range ts {
+			if math.Abs(x-tt) < 0.0501 {
+				return mbps[i]
+			}
+		}
+		t.Fatalf("no sample near %g", tt)
+		return 0
+	}
+	if at(1.0) != fig9RateMbps {
+		t.Fatal("pre-stall throughput should be full")
+	}
+	if at(3.0) != 0 {
+		t.Fatal("mid-stall throughput should be zero")
+	}
+	// 0.6 s into the 1.5 s slow-start ramp: 0.4 of the full rate.
+	if post := at(5.6); math.Abs(post-0.4*fig9RateMbps) > 0.1*fig9RateMbps {
+		t.Fatalf("ramp throughput = %g, want about %g", post, 0.4*fig9RateMbps)
+	}
+	if at(9.0) != fig9RateMbps {
+		t.Fatal("recovered throughput should be full")
+	}
+}
+
+func TestStallTotals(t *testing.T) {
+	if total, mean := stallTotals(nil); total != 0 || mean != 0 {
+		t.Fatalf("empty totals = %g/%g", total, mean)
+	}
+	total, mean := stallTotals([]transport.Stall{{Duration: 1}, {Duration: 2.5}})
+	if total != 3.5 || mean != 1.75 {
+		t.Fatalf("totals = %g/%g, want 3.5/1.75", total, mean)
 	}
 }

@@ -2,12 +2,13 @@ package eval
 
 import (
 	"fmt"
+	"math"
 
 	"rem/internal/dsp"
 	"rem/internal/mobility"
 	"rem/internal/ofdm"
-	"rem/internal/tcpsim"
 	"rem/internal/trace"
+	"rem/internal/transport"
 )
 
 func init() {
@@ -288,8 +289,7 @@ func runFig9(cfg Config) (*Report, error) {
 		Title:   "Fig 9a: average TCP stalling time (s)",
 		Columns: []string{"speed", "legacy", "REM"},
 	}
-	tcpCfg := tcpsim.DefaultConfig()
-	var trace9b []tcpsim.TracePoint
+	var xs9b, ys9b []float64
 	buckets := [][2]float64{{200, 300}, {300, 350}}
 	var specs []cellSpec
 	for _, bucket := range buckets {
@@ -305,22 +305,18 @@ func runFig9(cfg Config) (*Report, error) {
 		leg, rem := aggs[2*bi], aggs[2*bi+1]
 		// Only failure outages stall TCP meaningfully; handover
 		// interruptions (50 ms) barely register. Filter to ≥0.2 s.
-		ls := tcpsim.Replay(longOutages(leg.Outages, 0.2), tcpCfg)
-		rs := tcpsim.Replay(longOutages(rem.Outages, 0.2), tcpCfg)
+		ls := transport.ReplayStalls(longOutages(leg.Outages, 0.2), transport.StallConfig{})
+		rs := transport.ReplayStalls(longOutages(rem.Outages, 0.2), transport.StallConfig{})
+		lTotal, lMean := stallTotals(ls)
+		rTotal, rMean := stallTotals(rs)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%g-%g km/h", bucket[0], bucket[1]),
-			fmt.Sprintf("%.2f (%.1fs per 1000s)", ls.MeanStallSec, ls.TotalStallSec/leg.Duration*1000),
-			fmt.Sprintf("%.2f (%.1fs per 1000s)", rs.MeanStallSec, rs.TotalStallSec/rem.Duration*1000),
+			fmt.Sprintf("%.2f (%.1fs per 1000s)", lMean, lTotal/leg.Duration*1000),
+			fmt.Sprintf("%.2f (%.1fs per 1000s)", rMean, rTotal/rem.Duration*1000),
 		})
-		if trace9b == nil && len(ls.Stalls) > 0 {
-			st := ls.Stalls[0]
-			pts, err := tcpsim.ThroughputTrace(
-				[]tcpsim.Stall{{Start: 5, Duration: st.Duration, FinalRTO: st.FinalRTO}},
-				5+st.Duration+6, 0.25, tcpCfg)
-			if err != nil {
-				return nil, err
-			}
-			trace9b = pts
+		if xs9b == nil && len(ls) > 0 {
+			d := ls[0].Duration
+			xs9b, ys9b = throughputTrace(5, d, 5+d+6, 0.25)
 		}
 	}
 	rep := &Report{
@@ -332,18 +328,50 @@ func runFig9(cfg Config) (*Report, error) {
 			"per-stall durations are set by the radio re-establishment timer and RTO overshoot, identical for both modes in this model; REM's win is fewer failures, i.e. the total stall seconds per 1000 s of travel",
 		},
 	}
-	if trace9b != nil {
-		var xs, ys []float64
-		for _, p := range trace9b {
-			xs = append(xs, p.Time)
-			ys = append(ys, p.Mbps)
-		}
+	if xs9b != nil {
 		rep.Series = append(rep.Series, Series{
 			Name:   "Fig 9b: TCP throughput around one failure",
-			XLabel: "time (s)", YLabel: "Mbps", X: xs, Y: ys,
+			XLabel: "time (s)", YLabel: "Mbps", X: xs9b, Y: ys9b,
 		})
 	}
 	return rep, nil
+}
+
+// Fig. 9b's throughput model: full rate outside the stall, zero inside
+// it, then a linear ramp approximating slow-start recovery.
+const (
+	fig9RateMbps     = 20.0
+	fig9SlowStartSec = 1.5
+)
+
+// stallTotals returns the summed and mean stall duration.
+func stallTotals(stalls []transport.Stall) (total, mean float64) {
+	for _, st := range stalls {
+		total += st.Duration
+	}
+	if len(stalls) > 0 {
+		mean = total / float64(len(stalls))
+	}
+	return total, mean
+}
+
+// throughputTrace samples the Fig. 9b throughput timeline every dt
+// seconds over [0, horizon) around one stall of the given start and
+// duration.
+func throughputTrace(start, duration, horizon, dt float64) (ts, mbps []float64) {
+	end := start + duration
+	for t := 0.0; t < horizon; t += dt {
+		rate := fig9RateMbps
+		switch {
+		case t >= start && t < end:
+			rate = 0
+		case t >= end && t < end+fig9SlowStartSec:
+			rate = math.Min(rate, fig9RateMbps*(t-end)/fig9SlowStartSec)
+		}
+		ts = append(ts, t)
+		mbps = append(mbps, rate)
+	}
+	return ts, mbps
 }
 
 func runFig14a(cfg Config) (*Report, error) {
@@ -418,8 +446,8 @@ func cdfSeries(name, xlabel string, xs []float64) Series {
 	return s
 }
 
-func longOutages(os []tcpsim.Outage, minDur float64) []tcpsim.Outage {
-	var out []tcpsim.Outage
+func longOutages(os []mobility.Outage, minDur float64) []mobility.Outage {
+	var out []mobility.Outage
 	for _, o := range os {
 		if o.Duration >= minDur {
 			out = append(out, o)

@@ -43,7 +43,6 @@ import (
 	"rem/internal/obs"
 	"rem/internal/par"
 	"rem/internal/sim"
-	"rem/internal/tcpsim"
 	"rem/internal/trace"
 	"rem/internal/transport"
 )
@@ -517,7 +516,9 @@ func (e *Engine) RNGStats() sim.ArenaStats { return e.arena.Stats() }
 // the TCP model when telemetry is armed, and aggregates the result.
 // Call it once, after StepEpoch reported done.
 func (e *Engine) Finish() *Result {
-	return e.buildResult(e.FinishResults())
+	results := e.FinishResults()
+	return foldResult(e.spec, results, func(ue int) int64 { return e.shared.UESeed(e.spec.UEOffset + ue) },
+		e.blocked, e.cellStats, e.loads, e.tpTotals)
 }
 
 // FinishResults is the raw half of Finish: it finalizes every runner
@@ -552,14 +553,7 @@ func (e *Engine) FinishResults() []*mobility.Result {
 		// order, coordinator goroutine) and publish the final batch:
 		// Finish-appended events plus the stall open/close pairs.
 		for i, res := range results {
-			if len(res.Outages) == 0 {
-				continue
-			}
-			outs := make([]tcpsim.Outage, len(res.Outages))
-			for j, o := range res.Outages {
-				outs[j] = tcpsim.Outage{Start: o.Start, Duration: o.Duration}
-			}
-			tcpsim.ObserveStalls(e.sess[i].scope, tcpsim.Replay(outs, tcpsim.DefaultConfig()).Stalls)
+			transport.ObserveTCPStalls(e.sess[i].scope, res.Outages)
 		}
 		e.publishTimeline()
 	}
@@ -724,20 +718,27 @@ func (e *Engine) attachedCount() int {
 	return n
 }
 
-func (e *Engine) buildResult(results []*mobility.Result) *Result {
-	sum := summarize(e.spec, results, func(ue int) int64 { return e.shared.UESeed(e.spec.UEOffset + ue) })
-	sum.Blocked = e.blocked
-	for id := range e.cellStats {
-		if e.cellStats[id].Cell == 0 {
+// foldResult reduces per-UE mobility results (local UE order) plus the
+// run's admission and cell tallies into the Result. It is the one fold
+// behind both Engine.Finish and MergeShards, so a merged run renders
+// exactly as a single-process one. cells is the dense per-cell table;
+// each real cell's FinalAttached is taken from finals (dense by ID).
+func foldResult(spec Spec, results []*mobility.Result, seedOf func(int) int64,
+	blocked int, cells []CellStat, finals []int, tpTotals []transport.Totals) *Result {
+	sum := summarize(spec, results, seedOf)
+	sum.Blocked = blocked
+	for id, cs := range cells {
+		if cs.Cell == 0 {
 			continue
 		}
-		cs := e.cellStats[id]
-		cs.FinalAttached = e.loads[id]
+		cs.FinalAttached = 0
+		if id < len(finals) {
+			cs.FinalAttached = finals[id]
+		}
 		sum.Cells = append(sum.Cells, cs)
 	}
-	agg := eval.AggregateFleet(results)
-	rep := agg.Report(specTitle(e.spec))
-	applyTransport(e.spec, sum, rep, e.tpTotals)
+	rep := eval.AggregateFleet(results).Report(specTitle(spec))
+	applyTransport(spec, sum, rep, tpTotals)
 	return &Result{Summary: *sum, Report: rep.Render()}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"rem/internal/eval"
 	"rem/internal/mobility"
 	"rem/internal/sim"
 	"rem/internal/transport"
@@ -30,11 +29,10 @@ type ShardSlice struct {
 
 // MergeShards reduces per-shard raw results into the Result a
 // single-process run of spec produces. Shards are reordered by Offset
-// and must tile [0, spec.UEs) exactly. The reduction reuses the
-// engine's own aggregation (summarize + eval.AggregateFleet) over the
-// concatenated results in global UE order, so every floating-point
-// fold runs in the single-process order and the merge is
-// byte-identical, not merely statistically equivalent.
+// and must tile [0, spec.UEs) exactly. The reduction is the engine's
+// own foldResult over the concatenated results in global UE order, so
+// every floating-point fold runs in the single-process order and the
+// merge is byte-identical, not merely statistically equivalent.
 //
 // peaks and finals are the coordinator-tracked global per-cell attach
 // counts (dense by cell ID): the elementwise maximum over every epoch
@@ -87,25 +85,12 @@ func MergeShards(spec Spec, shards []ShardSlice, peaks, finals []int) (*Result, 
 		return nil, fmt.Errorf("fleet: merge: shards cover %d UEs, spec has %d", len(results), spec.UEs)
 	}
 
-	sum := summarize(spec, results, func(ue int) int64 { return sim.ReplicaSeed(spec.Seed, ue) })
-	sum.Blocked = blocked
 	for id := range cells {
-		if cells[id].Cell == 0 {
-			continue
-		}
-		cs := cells[id]
-		cs.PeakAttached = 0
+		cells[id].PeakAttached = 0
 		if id < len(peaks) {
-			cs.PeakAttached = peaks[id]
+			cells[id].PeakAttached = peaks[id]
 		}
-		cs.FinalAttached = 0
-		if id < len(finals) {
-			cs.FinalAttached = finals[id]
-		}
-		sum.Cells = append(sum.Cells, cs)
 	}
-	agg := eval.AggregateFleet(results)
-	rep := agg.Report(specTitle(spec))
-	applyTransport(spec, sum, rep, tpTotals)
-	return &Result{Summary: *sum, Report: rep.Render()}, nil
+	return foldResult(spec, results, func(ue int) int64 { return sim.ReplicaSeed(spec.Seed, ue) },
+		blocked, cells, finals, tpTotals), nil
 }

@@ -28,8 +28,7 @@ type TransportSummary struct {
 // i.e. global id minus spec.UEOffset) into the summary — per-UE stats
 // plus the fleet aggregate — and appends the transport table to the
 // report. No-op when the plane is disarmed or totals are absent, so
-// disarmed output keeps its pre-transport bytes. Shared by the engine's
-// buildResult and the cluster's MergeShards so both render identically.
+// disarmed output keeps its pre-transport bytes. Called from foldResult.
 func applyTransport(spec Spec, sum *Summary, rep *eval.Report, totals []transport.Totals) {
 	if spec.Transport == nil || len(totals) == 0 {
 		return

@@ -3,6 +3,7 @@ package transport
 import (
 	"math"
 
+	"rem/internal/mobility"
 	"rem/internal/sim"
 )
 
@@ -79,8 +80,8 @@ func (u *UE) Step(snrDB, downFrac float64) {
 		downFrac = 1
 	}
 
-	// Down-window tracking with tcpsim RTO semantics: a contiguous
-	// down run becomes an Outage, and delivery stays blocked until the
+	// Down-window tracking with RTO semantics: a contiguous down run
+	// becomes an outage, and delivery stays blocked until the
 	// first backed-off retransmission after recovery.
 	if downFrac > 0 && !u.inDown {
 		u.inDown = true
@@ -196,7 +197,7 @@ func (u *UE) closeDown() {
 	if u.downAccum <= 0 {
 		return
 	}
-	st := StallForOutage(Outage{Start: u.downStart, Duration: u.downAccum}, u.spec.Stall)
+	st := StallForOutage(mobility.Outage{Start: u.downStart, Duration: u.downAccum}, u.spec.Stall)
 	u.stalls = append(u.stalls, st)
 	u.tot.Stalls++
 	u.tot.StallSec += st.Duration

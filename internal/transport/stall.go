@@ -3,26 +3,18 @@ package transport
 import (
 	"math"
 	"sort"
-)
 
-// Outage is a radio service interruption, start-time + duration in
-// simulated seconds. It mirrors tcpsim.Outage so mobility results
-// replay through either plane interchangeably.
-type Outage struct {
-	Start    float64
-	Duration float64
-}
+	"rem/internal/mobility"
+)
 
 // Stall is one RTO-extended link stall: the transport cannot deliver
 // until the first exponentially backed-off retransmission after radio
-// recovery, so the stall overshoots the outage by up to one RTO. The
-// fields (and JSON shape) match tcpsim.Stall one-for-one — the Fig. 9
-// stall list of a transport-disabled run is byte-identical either way,
-// golden-tested in the fleet package.
+// recovery, so the stall overshoots the outage by up to one RTO.
 type Stall struct {
 	Start    float64 `json:"start"`
 	Duration float64 `json:"duration"`
-	// FinalRTO is the backoff value reached when transfer resumed.
+	// FinalRTO is the backoff value reached when transfer resumed —
+	// the "TCP RTO ← 6.28s" annotation of Fig. 9b.
 	FinalRTO float64 `json:"final_rto"`
 	// Retransmissions counts timer expirations during the stall.
 	Retransmissions int `json:"retransmissions"`
@@ -37,12 +29,6 @@ type StallConfig struct {
 	MaxRTOSec float64 `json:"max_rto_sec,omitempty"`
 }
 
-// DefaultStallConfig returns the LTE-flavored timer parameters used by
-// tcpsim.DefaultConfig.
-func DefaultStallConfig() StallConfig {
-	return StallConfig{BaseRTOSec: 0.2, MaxRTOSec: 60}
-}
-
 func (c StallConfig) defaulted() StallConfig {
 	if c.BaseRTOSec <= 0 {
 		c.BaseRTOSec = 0.2
@@ -51,6 +37,10 @@ func (c StallConfig) defaulted() StallConfig {
 		c.MaxRTOSec = 60
 	}
 	if c.MaxRTOSec < c.BaseRTOSec {
+		// A cap below the base would make the backoff loop shrink the
+		// RTO on its first doubling; pin it to the base instead of
+		// jumping to the default (a caller asking for a low cap wants a
+		// low cap).
 		c.MaxRTOSec = c.BaseRTOSec
 	}
 	return c
@@ -60,9 +50,8 @@ func (c StallConfig) defaulted() StallConfig {
 // retransmissions fire at exponentially backed-off times from the
 // outage start; the first one after radio recovery succeeds and ends
 // the stall (paper §7.1: "TCP stalling time is usually longer than the
-// network failures because of its retransmission timeout"). The
-// arithmetic is ported verbatim from tcpsim.StallForOutage.
-func StallForOutage(o Outage, cfg StallConfig) Stall {
+// network failures because of its retransmission timeout").
+func StallForOutage(o mobility.Outage, cfg StallConfig) Stall {
 	cfg = cfg.defaulted()
 	if o.Duration <= 0 {
 		return Stall{Start: o.Start}
@@ -82,9 +71,8 @@ func StallForOutage(o Outage, cfg StallConfig) Stall {
 }
 
 // ReplayStalls converts a set of radio outages into stalls. Outages
-// are processed in start order; overlapping outages merge — the same
-// semantics as tcpsim.Replay.
-func ReplayStalls(outages []Outage, cfg StallConfig) []Stall {
+// are processed in start order; overlapping outages merge.
+func ReplayStalls(outages []mobility.Outage, cfg StallConfig) []Stall {
 	cfg = cfg.defaulted()
 	merged := mergeOutages(outages)
 	if len(merged) == 0 {
@@ -97,13 +85,13 @@ func ReplayStalls(outages []Outage, cfg StallConfig) []Stall {
 	return out
 }
 
-func mergeOutages(outages []Outage) []Outage {
+func mergeOutages(outages []mobility.Outage) []mobility.Outage {
 	if len(outages) == 0 {
 		return nil
 	}
-	os := append([]Outage(nil), outages...)
+	os := append([]mobility.Outage(nil), outages...)
 	sort.Slice(os, func(i, j int) bool { return os[i].Start < os[j].Start })
-	out := []Outage{os[0]}
+	out := []mobility.Outage{os[0]}
 	for _, o := range os[1:] {
 		last := &out[len(out)-1]
 		if o.Start <= last.Start+last.Duration {

@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"testing/quick"
+
+	"rem/internal/mobility"
 	"rem/internal/sim"
-	"rem/internal/tcpsim"
 )
 
 func TestSpecValidate(t *testing.T) {
@@ -57,12 +59,14 @@ func TestDefaultedFillsEveryField(t *testing.T) {
 	}
 }
 
-// TestStallParityWithTcpsim pins the ported RTO model to the model of
-// record: over identical outage lists, ReplayStalls must reproduce
-// tcpsim.Replay's stalls bit-for-bit (the arithmetic is a verbatim
-// port, so exact equality — not tolerance — is the contract).
+// TestStallParityWithTcpsim pins ReplayStalls to a literal table of
+// stalls captured from the former tcpsim package, the RTO model this
+// one replaced: six outage lists (empty, sub-RTO, backoff, overlapping,
+// RTO-capped, nested) under the default timers, a raised base with a
+// low cap, and a cap below the base. Equality is exact, not within a
+// tolerance.
 func TestStallParityWithTcpsim(t *testing.T) {
-	lists := [][]Outage{
+	lists := [][]mobility.Outage{
 		nil,
 		{{Start: 1, Duration: 0.05}},
 		{{Start: 0, Duration: 2}},
@@ -71,36 +75,176 @@ func TestStallParityWithTcpsim(t *testing.T) {
 		{{Start: 5, Duration: 0.3}, {Start: 5.1, Duration: 0.1}, {Start: 7, Duration: 3}},
 	}
 	cfgs := []StallConfig{{}, {BaseRTOSec: 0.5, MaxRTOSec: 4}, {BaseRTOSec: 1, MaxRTOSec: 0.5}}
+	want := [][][]Stall{
+		{ // defaults: 0.2 s base, 60 s cap
+			nil,
+			{{1, 0.2, 0.2, 1}},
+			{{0, 3, 1.6, 4}},
+			{{0, 3, 1.6, 4}, {10, 0.6000000000000001, 0.4, 2}},
+			{{30, 162.2, 60, 10}},
+			{{5, 0.6000000000000001, 0.4, 2}, {7, 3, 1.6, 4}},
+		},
+		{ // 0.5 s base, 4 s cap
+			nil,
+			{{1, 0.5, 0.5, 1}},
+			{{0, 3.5, 2, 3}},
+			{{0, 1.5, 1, 2}, {10, 0.5, 0.5, 1}},
+			{{30, 123.5, 4, 33}},
+			{{5, 0.5, 0.5, 1}, {7, 3.5, 2, 3}},
+		},
+		{ // cap below base: constant 1 s backoff
+			nil,
+			{{1, 1, 1, 1}},
+			{{0, 2, 1, 2}},
+			{{0, 2, 1, 2}, {10, 1, 1, 1}},
+			{{30, 120, 1, 120}},
+			{{5, 1, 1, 1}, {7, 3, 1, 3}},
+		},
+	}
 	for ci, cfg := range cfgs {
-		tcfg := tcpsim.Config{BaseRTOSec: cfg.BaseRTOSec, MaxRTOSec: cfg.MaxRTOSec}
 		for li, outs := range lists {
-			touts := make([]tcpsim.Outage, len(outs))
-			for i, o := range outs {
-				touts[i] = tcpsim.Outage{Start: o.Start, Duration: o.Duration}
-			}
-			want := tcpsim.Replay(touts, tcfg).Stalls
 			got := ReplayStalls(outs, cfg)
-			if len(got) != len(want) {
-				t.Fatalf("cfg %d list %d: %d stalls, tcpsim has %d", ci, li, len(got), len(want))
+			if len(got) != len(want[ci][li]) {
+				t.Fatalf("cfg %d list %d: %d stalls, want %d", ci, li, len(got), len(want[ci][li]))
 			}
-			for i := range got {
-				w := want[i]
-				if got[i] != (Stall{Start: w.Start, Duration: w.Duration,
-					FinalRTO: w.FinalRTO, Retransmissions: w.Retransmissions}) {
-					t.Fatalf("cfg %d list %d stall %d: %+v, tcpsim %+v", ci, li, i, got[i], w)
+			for i, w := range want[ci][li] {
+				if got[i] != w {
+					t.Fatalf("cfg %d list %d stall %d: %+v, want %+v", ci, li, i, got[i], w)
 				}
 			}
 		}
 	}
 }
 
-// TestStallConfigClampBelowBase mirrors the tcpsim normalized() fix: a
-// cap below the base RTO pins to the base (constant backoff) instead of
-// silently jumping to the 60 s default.
+// TestStallConfigClampBelowBase: a cap below the base RTO pins to the
+// base (constant backoff) instead of silently jumping to the 60 s
+// default.
 func TestStallConfigClampBelowBase(t *testing.T) {
-	st := StallForOutage(Outage{Duration: 100}, StallConfig{BaseRTOSec: 1, MaxRTOSec: 0.5})
+	st := StallForOutage(mobility.Outage{Duration: 100}, StallConfig{BaseRTOSec: 1, MaxRTOSec: 0.5})
 	if st.FinalRTO != 1 {
 		t.Fatalf("final RTO = %g, want constant 1 (cap pinned to base)", st.FinalRTO)
+	}
+}
+
+func TestStallRTOCapBelowBaseStaysConstant(t *testing.T) {
+	// With the cap pinned at the base, backoff never grows: a long
+	// outage retransmits every BaseRTOSec.
+	st := StallForOutage(mobility.Outage{Duration: 10}, StallConfig{BaseRTOSec: 1, MaxRTOSec: 0.5})
+	if st.FinalRTO != 1 {
+		t.Fatalf("final RTO = %g, want constant 1", st.FinalRTO)
+	}
+	if st.Retransmissions != 10 {
+		t.Fatalf("retransmissions = %d, want 10 (one per second)", st.Retransmissions)
+	}
+}
+
+// TestStallConfigNormalization: the zero StallConfig is usable as is;
+// it takes the default timers and still yields a stall past the outage.
+func TestStallConfigNormalization(t *testing.T) {
+	st := StallForOutage(mobility.Outage{Duration: 1}, StallConfig{})
+	if st.Duration <= 1 {
+		t.Fatal("zero config should normalize to defaults and still work")
+	}
+}
+
+func TestStallConfigDefaultedClamps(t *testing.T) {
+	cases := []struct {
+		name     string
+		in       StallConfig
+		wantBase float64
+		wantMax  float64
+	}{
+		{"zero fills defaults", StallConfig{}, 0.2, 60},
+		{"explicit values kept", StallConfig{BaseRTOSec: 0.5, MaxRTOSec: 30}, 0.5, 30},
+		{"cap below base pins to base", StallConfig{BaseRTOSec: 1, MaxRTOSec: 0.5}, 1, 1},
+		{"negative cap falls back to default", StallConfig{BaseRTOSec: 0.3, MaxRTOSec: -1}, 0.3, 60},
+		{"default base above tiny cap", StallConfig{MaxRTOSec: 0.1}, 0.2, 0.2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := tc.in.defaulted()
+			if got.BaseRTOSec != tc.wantBase || got.MaxRTOSec != tc.wantMax {
+				t.Fatalf("defaulted() base/max = %g/%g, want %g/%g",
+					got.BaseRTOSec, got.MaxRTOSec, tc.wantBase, tc.wantMax)
+			}
+		})
+	}
+}
+
+func TestStallForOutageExceedsOutage(t *testing.T) {
+	f := func(seed int64) bool {
+		d := math.Abs(float64(seed%1000))/100 + 0.01 // 0.01..10.01 s
+		st := StallForOutage(mobility.Outage{Start: 5, Duration: d}, StallConfig{})
+		// Stall covers the outage and overshoots by at most one RTO.
+		return st.Duration >= d && st.Duration <= d+st.FinalRTO+1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestStallBackoffDoubles(t *testing.T) {
+	// 2 s outage with 0.2 s base RTO: retransmissions at 0.2, 0.6,
+	// 1.4, 3.0 — the 4th (RTO 1.6) lands past 2 s and succeeds.
+	st := StallForOutage(mobility.Outage{Duration: 2}, StallConfig{})
+	if st.Retransmissions != 4 {
+		t.Fatalf("retransmissions = %d, want 4", st.Retransmissions)
+	}
+	if math.Abs(st.Duration-3.0) > 1e-9 {
+		t.Fatalf("stall = %g, want 3.0", st.Duration)
+	}
+	if math.Abs(st.FinalRTO-1.6) > 1e-9 {
+		t.Fatalf("final RTO = %g, want 1.6", st.FinalRTO)
+	}
+}
+
+func TestStallRTOCap(t *testing.T) {
+	st := StallForOutage(mobility.Outage{Duration: 10}, StallConfig{MaxRTOSec: 1})
+	if st.FinalRTO > 1.0 {
+		t.Fatalf("RTO %g exceeded cap", st.FinalRTO)
+	}
+}
+
+func TestStallZeroOutage(t *testing.T) {
+	st := StallForOutage(mobility.Outage{Start: 3, Duration: 0}, StallConfig{})
+	if st != (Stall{Start: 3}) {
+		t.Fatalf("zero outage produced stall %+v", st)
+	}
+}
+
+func TestReplayMergesOverlaps(t *testing.T) {
+	stalls := ReplayStalls([]mobility.Outage{
+		{Start: 10, Duration: 0.3},
+		{Start: 0.5, Duration: 1}, // overlaps the next, given out of order
+		{Start: 0, Duration: 1},
+	}, StallConfig{})
+	if len(stalls) != 2 {
+		t.Fatalf("stalls = %d, want 2 after merging", len(stalls))
+	}
+	if stalls[0].Start != 0 || stalls[0].Duration < 1.5 {
+		t.Fatalf("merged stall %+v should start at 0 and cover the 1.5 s outage", stalls[0])
+	}
+	// Touching outages (one starts as the other ends) merge too.
+	if touch := ReplayStalls([]mobility.Outage{{Start: 0, Duration: 1}, {Start: 1, Duration: 1}}, StallConfig{}); len(touch) != 1 {
+		t.Fatalf("touching outages gave %d stalls, want 1", len(touch))
+	}
+	if ReplayStalls(nil, StallConfig{}) != nil {
+		t.Fatal("empty replay should be empty")
+	}
+}
+
+func TestLongerOutagesLongerStalls(t *testing.T) {
+	// Monotonicity: stall time grows with outage duration — the
+	// mechanism behind REM's Fig. 9a win (fewer/shorter outages).
+	total := func(d float64) float64 {
+		var sum float64
+		for _, st := range ReplayStalls([]mobility.Outage{{Start: 0, Duration: d}, {Start: 20, Duration: d}, {Start: 40, Duration: d}}, StallConfig{}) {
+			sum += st.Duration
+		}
+		return sum
+	}
+	if a, b := total(1), total(3); b <= a {
+		t.Fatalf("stall time %g for 3 s outages ≤ %g for 1 s", b, a)
 	}
 }
 
