@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -150,8 +149,9 @@ func TestClusterRunEndToEnd(t *testing.T) {
 }
 
 // TestShardedRunRecordsEpochWallTime: the coordinator times every
-// barrier round of a sharded run, so the epoch wall-time gauge and
-// histogram carry real measurements instead of zeros.
+// barrier round of a sharded run and sums the members' per-epoch
+// allocation counts, so the epoch wall-time and allocation families
+// carry real measurements instead of zeros.
 func TestShardedRunRecordsEpochWallTime(t *testing.T) {
 	s, ts := newTestServerCfg(t, serverConfig{Role: roleCoordinator, MemberTTL: time.Hour})
 	newMemberRemserve(t, s, "m0")
@@ -159,26 +159,11 @@ func TestShardedRunRecordsEpochWallTime(t *testing.T) {
 	v := postRun(t, ts, fmt.Sprintf(clusterSpecJSON, 2, false))
 	waitState(t, ts, v.ID, stateDone)
 
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
-	req.Header.Set("Accept", "text/plain")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	values := map[string]float64{}
-	for _, line := range strings.Split(string(body), "\n") {
-		if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(name, "#") {
-			if f, err := strconv.ParseFloat(val, 64); err == nil {
-				values[name] = f
-			}
-		}
-	}
+	values := scrapeMetrics(t, ts)
 	if values["remserve_epochs_total"] == 0 {
-		t.Fatalf("no epochs recorded:\n%s", body)
+		t.Fatalf("no epochs recorded: %v", values)
 	}
-	for _, name := range []string{"remserve_last_epoch_ns", "remserve_epoch_wall_ms_sum"} {
+	for _, name := range []string{"remserve_last_epoch_ns", "remserve_epoch_wall_ms_sum", "remserve_epoch_allocs_total"} {
 		if values[name] <= 0 {
 			t.Errorf("%s = %g, want > 0", name, values[name])
 		}
@@ -285,15 +270,31 @@ func TestCoordinatorRestartResumesShardedRun(t *testing.T) {
 		t.Errorf("remserve_runs_resumed_total = %g, want 1", v)
 	}
 
-	// A single-process server over the same journal still fails the
-	// run instead of resuming it (no cluster plane to re-execute on).
+	// A single-process server re-queues the same run unsharded and
+	// finishes it with the same bytes: every role resumes.
+	localStart := fmt.Sprintf(`{"op":"start","id":"run-0007","spec":%s}`, fmt.Sprintf(clusterSpecJSON, 0, false))
 	journal2 := filepath.Join(t.TempDir(), "journal.ndjson")
-	if err := os.WriteFile(journal2, []byte(start+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(journal2, []byte(localStart+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, ts2 := newTestServerCfg(t, serverConfig{JournalPath: journal2})
-	if v := getRun(t, ts2, "run-0007"); v.State != stateFailed {
-		t.Errorf("single-role recovery state = %q, want failed", v.State)
+	s2, ts2 := newTestServerCfg(t, serverConfig{JournalPath: journal2})
+	done = waitState(t, ts2, "run-0007", stateDone)
+	if got, _ := json.Marshal(done.Result); string(got) != string(want) {
+		t.Fatal("single-role resumed run differs from in-process engine")
+	}
+	if v := s2.sm.resumed.Value(); v != 1 {
+		t.Errorf("single-role remserve_runs_resumed_total = %g, want 1", v)
+	}
+
+	// The sharded spec itself stays invalid off the coordinator role,
+	// so a single-process server over its journal still fails the run.
+	journal3 := filepath.Join(t.TempDir(), "journal.ndjson")
+	if err := os.WriteFile(journal3, []byte(start+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts3 := newTestServerCfg(t, serverConfig{JournalPath: journal3})
+	if v := getRun(t, ts3, "run-0007"); v.State != stateFailed || !strings.Contains(v.Error, "restart") {
+		t.Errorf("single-role recovery of a sharded spec: state %q err %q, want failed/interrupted", v.State, v.Error)
 	}
 }
 
@@ -305,15 +306,37 @@ func TestCoordinatorRestartResumesShardedRun(t *testing.T) {
 // 0), finishes with byte-identical output, and serves a complete event
 // stream to clients re-reading it after the restart.
 func TestCoordinatorResumeFromJournaledEpochs(t *testing.T) {
+	testResumeFromJournaledEpochs(t, 2, func(journal string) (*server, *httptest.Server) {
+		s, ts := newTestServerCfg(t, serverConfig{
+			Role: roleCoordinator, MemberTTL: time.Hour, JournalPath: journal,
+		})
+		newMemberRemserve(t, s, "m0")
+		newMemberRemserve(t, s, "m1")
+		return s, ts
+	})
+}
+
+// TestSingleRoleResumeFromJournaledEpochs is the same crash on a
+// single-process server: its local run goes through the same journaled
+// barrier loop, so it too resumes mid-run after a kill -9 instead of
+// failing "interrupted by server restart".
+func TestSingleRoleResumeFromJournaledEpochs(t *testing.T) {
+	testResumeFromJournaledEpochs(t, 0, func(journal string) (*server, *httptest.Server) {
+		return newTestServerCfg(t, serverConfig{JournalPath: journal})
+	})
+}
+
+// testResumeFromJournaledEpochs runs the coupled spec at the given
+// shard count on a server boot builds over a journal, rewrites that
+// journal as a crashed process would have left it, and checks that a
+// second server booted over it resumes from the last contiguous
+// barrier with byte-identical output.
+func testResumeFromJournaledEpochs(t *testing.T, shards int, boot func(journal string) (*server, *httptest.Server)) {
 	want := directResult(t)
 	journal := filepath.Join(t.TempDir(), "journal.ndjson")
-	s, ts := newTestServerCfg(t, serverConfig{
-		Role: roleCoordinator, MemberTTL: time.Hour, JournalPath: journal,
-	})
-	newMemberRemserve(t, s, "m0")
-	newMemberRemserve(t, s, "m1")
+	_, ts := boot(journal)
 
-	v := postRun(t, ts, fmt.Sprintf(clusterSpecJSON, 2, false))
+	v := postRun(t, ts, fmt.Sprintf(clusterSpecJSON, shards, false))
 	waitState(t, ts, v.ID, stateDone)
 	resp, err := http.Get(ts.URL + "/runs/" + v.ID + "/events")
 	if err != nil {
@@ -358,12 +381,8 @@ func TestCoordinatorResumeFromJournaledEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh coordinator over the crashed journal resumes the run.
-	s2, ts2 := newTestServerCfg(t, serverConfig{
-		Role: roleCoordinator, MemberTTL: time.Hour, JournalPath: journal,
-	})
-	newMemberRemserve(t, s2, "m0")
-	newMemberRemserve(t, s2, "m1")
+	// A fresh server over the crashed journal resumes the run.
+	s2, ts2 := boot(journal)
 	done := waitState(t, ts2, v.ID, stateDone)
 	got, _ := json.Marshal(done.Result)
 	if string(got) != string(want) {

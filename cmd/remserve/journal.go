@@ -10,15 +10,15 @@ import (
 
 // journalEntry is one line of the crash-safe run journal: a "start"
 // when a run is admitted (carrying its spec, so an interrupted run is
-// reproducible after restart), an "assign" for every cluster shard
-// placement (failovers included), an "epoch" for every barrier a
-// sharded run clears (carrying the global load vector — the replay
-// script a restarted coordinator resumes from), and an "end" when the
-// run reaches a terminal state. A run that has a start but no end at
-// server boot was in flight when the previous process died; recovery
-// marks it failed — or, for sharded runs on a coordinator, re-queues
-// it from its last journaled barrier, since the journaled spec and
-// load history re-execute byte-identically.
+// reproducible after restart), an "assign" for every shard placement
+// (failovers included), an "epoch" for every barrier a run clears
+// (carrying the global load vector — the replay script a restarted
+// server resumes from), and an "end" when the run reaches a terminal
+// state. A run that has a start but no end at server boot was in
+// flight when the previous process died; recovery re-queues it from
+// its last journaled barrier, since the journaled spec and load
+// history re-execute byte-identically, and marks it failed only when
+// its spec is missing or invalid.
 type journalEntry struct {
 	Op    string    `json:"op"` // "start" | "assign" | "epoch" | "end"
 	ID    string    `json:"id"`
@@ -118,4 +118,3 @@ func (j *journal) Close() error {
 	}
 	return j.f.Close()
 }
-

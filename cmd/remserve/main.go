@@ -12,8 +12,7 @@
 //	GET  /runs/{id}/events    NDJSON event stream (replay + live follow)
 //	GET  /runs/{id}/timeline  NDJSON telemetry timeline (armed runs only)
 //	GET  /runs/{id}/metrics   run metrics snapshot, Prometheus text
-//	GET  /metrics             service metrics: legacy JSON by default,
-//	                          Prometheus text with Accept: text/plain
+//	GET  /metrics             service metrics, Prometheus text
 //	GET  /healthz             role-aware health: {status, role, ready,
 //	                          members, shards}
 //	POST /cluster/v1/...      cluster plane (join/heartbeat/members on a
@@ -31,7 +30,11 @@
 // Runs derive every RNG stream from the spec's seed, so re-posting the
 // same spec reproduces the same summary byte-for-byte regardless of
 // worker count or server load. SIGINT/SIGTERM cancels in-flight runs
-// and shuts the listener down gracefully.
+// and shuts the listener down gracefully. Every run, local or sharded,
+// executes through the cluster barrier loop; with -journal each
+// barrier is journaled, so after a crash (even kill -9) a restarted
+// server resumes every interrupted run from its last barrier and
+// finishes it with the same bytes.
 //
 // With -role coordinator, a spec may add "shards": N to partition the
 // fleet across member remserves (-role member -coordinator URL
@@ -65,7 +68,7 @@ func main() {
 	maxBody := flag.Int64("max-body", 1<<20, "maximum POST /runs body size in bytes")
 	maxActive := flag.Int("max-active", 4, "fleet runs executing concurrently; further runs queue")
 	maxQueue := flag.Int("max-queue", 8, "pending-run queue depth, 0 for none; beyond it POST /runs returns 503")
-	journalPath := flag.String("journal", "", "crash-safe run journal path; on restart, interrupted runs surface as failed (sharded runs on a coordinator are re-queued)")
+	journalPath := flag.String("journal", "", "crash-safe run journal path; on restart, interrupted runs resume from their last journaled epoch barrier")
 	role := flag.String("role", "single", "cluster role: single, coordinator, or member")
 	coordURL := flag.String("coordinator", "", "coordinator base URL to join (member role)")
 	advertise := flag.String("advertise", "", "base URL the coordinator dials this member back on (member role)")

@@ -1,19 +1,10 @@
 package main
 
-import (
-	"net/http"
-	"strings"
+import "rem/internal/obs"
 
-	"rem"
-	"rem/internal/obs"
-)
-
-// serverMetrics is the remserve service registry: every counter the
-// hand-rolled /metrics JSON used to carry as a plain int now lives as
-// an obs handle, so one registry feeds both the backward-compatible
-// JSON view and the Prometheus text exposition. All writes happen
-// under server.mu — that lock is the registry's single-writer
-// guarantee — except during single-threaded boot recovery.
+// serverMetrics is the remserve service registry behind the /metrics
+// Prometheus exposition. All writes happen under server.mu — that lock
+// is the registry's single-writer guarantee.
 type serverMetrics struct {
 	reg *obs.Registry
 
@@ -36,10 +27,8 @@ func newServerMetrics() *serverMetrics {
 	reg.Counter("remserve_runs_canceled_total", "Fleet runs canceled by the client.")
 	reg.Counter("remserve_runs_failed_total", "Fleet runs that finished failed.")
 	reg.Counter("remserve_runs_shed_total", "Run requests rejected at capacity (503).")
-	reg.Counter("remserve_runs_recovered_total", "Interrupted runs surfaced as failed at boot.")
-	// Registry-only (kept out of the legacy JSON view, whose shape is
-	// pinned by existing clients).
-	reg.Counter("remserve_runs_resumed_total", "Sharded runs re-queued after a coordinator restart.")
+	reg.Counter("remserve_runs_recovered_total", "Interrupted runs surfaced as failed at boot because their journaled spec was missing or invalid.")
+	reg.Counter("remserve_runs_resumed_total", "Interrupted runs re-queued at boot to resume from their last journaled barrier.")
 	reg.Counter("remserve_journal_errors_total", "Journal writes that failed (run unaffected, resume point degraded).")
 	reg.Counter("cluster_heartbeat_misses_total", "Member heartbeat ticks that failed after all in-tick retries.")
 	reg.Gauge("remserve_run_resume_epoch", "Barrier the most recently resumed run continued from (0 = none).")
@@ -77,47 +66,4 @@ func newServerMetrics() *serverMetrics {
 		lastEpochNs:     sh.Gauge("remserve_last_epoch_ns"),
 		lastEpochAllocs: sh.Gauge("remserve_last_epoch_allocs"),
 	}
-}
-
-// view rebuilds the legacy JSON /metrics shape from a registry
-// snapshot, so the JSON bytes clients already parse stay stable while
-// the registry became the single source of truth.
-func metricsViewFrom(snap *rem.MetricsSnapshot) metricsView {
-	byName := make(map[string]rem.MetricSample, len(snap.Samples))
-	for _, s := range snap.Samples {
-		byName[s.Family] = s
-	}
-	val := func(name string) int { return int(byName[name].Value) }
-	m := metricsView{
-		ActiveRuns:    val("remserve_active_runs"),
-		ActiveUEs:     val("remserve_active_ues"),
-		RunsStarted:   val("remserve_runs_started_total"),
-		RunsCompleted: val("remserve_runs_completed_total"),
-		RunsCanceled:  val("remserve_runs_canceled_total"),
-		RunsFailed:    val("remserve_runs_failed_total"),
-		RunsShed:      val("remserve_runs_shed_total"),
-		RunsRecovered: val("remserve_runs_recovered_total"),
-		Handovers:     val("remserve_handovers"),
-		Failures:      val("remserve_failures"),
-		Blocked:       val("remserve_blocked"),
-		Epochs:        val("remserve_epochs_total"),
-	}
-	// The JSON histogram is per-bucket (last entry = overflow), the
-	// snapshot's is cumulative: diff it back.
-	h := byName["remserve_epoch_wall_ms"]
-	var prev int64
-	for _, b := range h.Buckets {
-		m.EpochWallHist = append(m.EpochWallHist, bucketCount{LeMs: b.Le, Count: int(b.Count - prev)})
-		prev = b.Count
-	}
-	m.EpochWallHist = append(m.EpochWallHist, bucketCount{Count: int(h.Count - prev)})
-	return m
-}
-
-// wantsPrometheus reports whether the request negotiates the
-// Prometheus text exposition. JSON stays the default so existing
-// scrapers (and plain curl) keep getting the legacy shape.
-func wantsPrometheus(req *http.Request) bool {
-	accept := req.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
 }

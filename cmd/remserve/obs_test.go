@@ -12,41 +12,30 @@ import (
 	"rem"
 )
 
-// TestMetricsJSONBackCompat pins the legacy /metrics JSON contract
-// now that the registry is the source of truth: a plain GET (no
-// Accept negotiation) must keep returning the exact metricsView key
-// set, unknown-field-free.
-func TestMetricsJSONBackCompat(t *testing.T) {
+// TestMetricsDefaultIsPrometheus pins the /metrics contract without
+// content negotiation: a plain GET serves the Prometheus exposition,
+// the run counters saw the run, the epoch histogram carries one bucket
+// per bound plus +Inf, and its count agrees with the epoch counter.
+func TestMetricsDefaultIsPrometheus(t *testing.T) {
 	_, ts := newTestServer(t)
 	v := postRun(t, ts, `{"ues":5,"dataset":"beijing-shanghai","mode":"rem","speed_kmh":330,"duration_sec":2,"seed":3}`)
 	waitState(t, ts, v.ID, stateDone)
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, ts)
+	if m["remserve_runs_started_total"] != 1 || m["remserve_runs_completed_total"] != 1 {
+		t.Fatalf("metrics: %v", m)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("default /metrics Content-Type = %q, want application/json", ct)
+	buckets := 0
+	for series := range m {
+		if strings.HasPrefix(series, "remserve_epoch_wall_ms_bucket{") {
+			buckets++
+		}
 	}
-	var m metricsView
-	dec := json.NewDecoder(resp.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
-		t.Fatalf("legacy JSON shape drifted: %v", err)
+	if buckets != len(epochBuckets)+1 {
+		t.Fatalf("remserve_epoch_wall_ms has %d buckets, want %d", buckets, len(epochBuckets)+1)
 	}
-	if m.RunsStarted != 1 || m.RunsCompleted != 1 {
-		t.Fatalf("metrics: %+v", m)
-	}
-	if len(m.EpochWallHist) != len(epochBuckets)+1 {
-		t.Fatalf("epoch_wall_ms_hist has %d buckets, want %d", len(m.EpochWallHist), len(epochBuckets)+1)
-	}
-	total := 0
-	for _, b := range m.EpochWallHist {
-		total += b.Count
-	}
-	if total != m.Epochs {
-		t.Fatalf("histogram sums to %d, epochs = %d", total, m.Epochs)
+	if count, epochs := m["remserve_epoch_wall_ms_count"], m["remserve_epochs_total"]; count != epochs || epochs == 0 {
+		t.Fatalf("histogram count %g, epochs = %g", count, epochs)
 	}
 }
 

@@ -28,10 +28,11 @@ type wireSpec struct {
 	// GET /runs/{id}/metrics serves its metrics snapshot. Arming never
 	// changes the run's result bytes.
 	Telemetry bool `json:"telemetry,omitempty"`
-	// Shards > 0 executes the run on the cluster plane: the UE range
-	// is partitioned into this many contiguous shards dispatched to
-	// member nodes, with merged output byte-identical to a local run.
-	// Requires -role coordinator; 0 runs in-process as always.
+	// Shards > 0 partitions the UE range into this many contiguous
+	// shards dispatched to member nodes, with merged output
+	// byte-identical to a local run; it requires -role coordinator. 0
+	// runs the whole spec as one in-process shard. Either way the run
+	// goes through the cluster barrier loop.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -48,8 +49,8 @@ func terminal(state string) bool {
 	return state == stateDone || state == stateCanceled || state == stateFailed
 }
 
-// run is one fleet execution owned by the server. The fleet engine
-// calls its hooks from a single coordinating goroutine; HTTP handlers
+// run is one fleet execution owned by the server. The cluster barrier
+// loop calls its hooks from one coordinating goroutine; HTTP handlers
 // read it concurrently, so all mutable state sits behind mu.
 type run struct {
 	id     string
@@ -64,18 +65,16 @@ type run struct {
 	progress rem.FleetProgress
 	result   *rem.FleetResult
 	started  time.Time
-	// Telemetry state (spec.Telemetry runs only): the run's armed
-	// plane, its accumulated timeline, and the latest metrics snapshot
-	// (refreshed at every epoch barrier and once after the run ends).
-	tel      *rem.Telemetry
+	// Telemetry state (spec.Telemetry runs only): the accumulated
+	// timeline, and the merged metrics snapshot once the run is done.
 	timeline []rem.TimelineEvent
 	snap     *rem.MetricsSnapshot
 	// userCanceled distinguishes a client-requested cancel (terminal
 	// state "canceled") from a shutdown- or deadline-induced context
 	// cancellation (terminal state "failed").
 	userCanceled bool
-	// resumeHist is the journaled barrier history a recovered sharded
-	// run resumes from (nil for fresh runs). Set before the executing
+	// resumeHist is the journaled barrier history a recovered run
+	// resumes from (nil for fresh runs). Set before the executing
 	// goroutine starts and read only there — never mutated after.
 	resumeHist [][]int
 }
@@ -83,13 +82,6 @@ type run struct {
 func (r *run) wake() {
 	close(r.notify)
 	r.notify = make(chan struct{})
-}
-
-func (r *run) appendEvent(ev rem.FleetEvent) {
-	r.mu.Lock()
-	r.events = append(r.events, ev)
-	r.wake()
-	r.mu.Unlock()
 }
 
 func (r *run) setProgress(p rem.FleetProgress) {
@@ -154,15 +146,15 @@ type serverConfig struct {
 	// non-terminal runs, POST /runs sheds load with 503 + Retry-After.
 	MaxQueue int
 	// JournalPath enables the crash-safe run journal; runs found
-	// started-but-unfinished at boot are recovered as failed —
-	// except sharded runs on a coordinator, which are re-queued and
-	// resumed from their last journaled epoch barrier (byte-identical,
-	// so the restart is invisible in the results).
+	// started-but-unfinished at boot are re-queued and resumed from
+	// their last journaled epoch barrier (byte-identical, so the
+	// restart is invisible in the results). Only a run whose journaled
+	// spec is missing or invalid is recovered as failed.
 	JournalPath string
 	// Role selects the cluster role: "single" (default) serves runs
 	// in-process only, "coordinator" additionally accepts sharded
-	// specs and the member join/heartbeat endpoints, "member" serves
-	// the shard execution protocol for a coordinator.
+	// specs and the member join/heartbeat endpoints, "member" also
+	// serves the shard execution protocol for a coordinator.
 	Role string
 	// MemberTTL / MemberWait tune the coordinator's member registry
 	// (see cluster.Config). Coordinator role only.
@@ -221,7 +213,10 @@ type server struct {
 	// sm is the service metrics registry (all writes under mu).
 	sm *serverMetrics
 
-	// Cluster plane (role-dependent; nil otherwise).
+	// coord drives every run through the cluster barrier loop: local
+	// runs on its private in-process member, sharded runs (coordinator
+	// role) on registered members. member is the HTTP-facing shard
+	// executor of the member role (nil otherwise).
 	coord  *cluster.Coordinator
 	member *cluster.Member
 }
@@ -234,15 +229,14 @@ func newServer(ctx context.Context, cfg serverConfig) (*server, error) {
 		slots:   make(chan struct{}, cfg.MaxActive),
 		runs:    make(map[string]*run),
 		sm:      newServerMetrics(),
-	}
-	switch cfg.Role {
-	case roleSingle:
-	case roleCoordinator:
-		s.coord = cluster.NewCoordinator(cluster.Config{
+		coord: cluster.NewCoordinator(cluster.Config{
 			MemberTTL: cfg.MemberTTL, MemberWait: cfg.MemberWait,
 			CallTimeout: cfg.CallTimeout, BarrierDeadline: cfg.BarrierDeadline,
 			CallRetries: cfg.CallRetries,
-		})
+		}),
+	}
+	switch cfg.Role {
+	case roleSingle, roleCoordinator:
 	case roleMember:
 		s.member = cluster.NewMember()
 	default:
@@ -260,11 +254,11 @@ func newServer(ctx context.Context, cfg serverConfig) (*server, error) {
 }
 
 // recover replays journal entries from a previous process: runs with a
-// start but no end were in flight when that process died — surface
-// them as failed (with their spec, so the client can re-POST) rather
-// than leaking them, and advance the ID sequence past everything seen.
-// Sharded runs additionally collect their journaled barrier history so
-// the resume continues from the last journaled epoch, not epoch 0.
+// start but no end were in flight when that process died. Each is
+// re-queued with its journaled barrier history, so it continues from
+// the last journaled epoch, not epoch 0; one whose spec is missing or
+// invalid surfaces as failed (with whatever spec survived) rather than
+// leaking. The ID sequence advances past everything seen.
 func (s *server) recover(entries []journalEntry) {
 	type rec struct {
 		spec  *wireSpec
@@ -305,13 +299,12 @@ func (s *server) recover(entries []journalEntry) {
 		if rc.ended {
 			continue
 		}
-		// A sharded run interrupted on a coordinator is re-queued, not
-		// failed: members rebuild the shards from the journaled spec,
-		// replay the journaled load history to the last barrier, and the
-		// merged output is byte-identical, so the restart is invisible
-		// to the client beyond the extra wall-clock.
-		if s.coord != nil && rc.spec != nil && rc.spec.Shards > 0 {
-			if err := s.resumeRun(id, *rc.spec, rc.hist); err == nil {
+		// The shards are rebuilt from the journaled spec and replay the
+		// journaled load history to the last barrier; the output is
+		// byte-identical, so the restart is invisible to the client
+		// beyond the extra wall-clock.
+		if rc.spec != nil {
+			if _, err := s.admit(id, *rc.spec, rc.hist); err == nil {
 				continue
 			}
 		}
@@ -325,42 +318,15 @@ func (s *server) recover(entries []journalEntry) {
 		if rc.spec != nil {
 			r.spec = *rc.spec
 		}
+		// Resumed runs are already executing: take the lock.
+		s.mu.Lock()
 		s.runs[id] = r
 		s.order = append(s.order, id)
 		s.sm.failed.Inc()
 		s.sm.recovered.Inc()
+		s.mu.Unlock()
 		s.journalEnd(r)
 	}
-}
-
-// resumeRun re-admits a journaled sharded run after a coordinator
-// restart, seeding it with the journaled barrier history so execution
-// continues from the last journaled epoch. The original "start" entry
-// is still open, so the eventual terminal state pairs with it — no
-// second start is journaled (the replayed barriers are not
-// re-journaled either; the history already covers them).
-func (s *server) resumeRun(id string, spec wireSpec, hist [][]int) error {
-	fs, err := s.fleetSpec(spec)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	r := &run{
-		id: id, spec: spec, cancel: cancel,
-		state: statePending, notify: make(chan struct{}),
-		started: time.Now(), resumeHist: hist,
-	}
-	s.runs[id] = r
-	s.order = append(s.order, id)
-	s.sm.started.Inc()
-	s.sm.resumed.Inc()
-	if len(hist) > 1 {
-		// Exposed before the run finishes so an operator (or the smoke
-		// test) can verify mid-flight that the restart skipped epochs.
-		s.sm.resumeEpoch.Set(float64(len(hist) - 1))
-	}
-	go s.execute(ctx, r, fs)
-	return nil
 }
 
 // journalRecord appends one journal entry, surfacing any write failure
@@ -393,7 +359,7 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /runs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /runs/{id}/timeline", s.handleTimeline)
 	mux.HandleFunc("GET /runs/{id}/metrics", s.handleRunMetrics)
-	if s.coord != nil {
+	if s.cfg.Role == roleCoordinator {
 		s.coord.RegisterHandlers(mux)
 	}
 	if s.member != nil {
@@ -416,7 +382,7 @@ type healthView struct {
 
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	v := healthView{Status: "ok", Role: s.cfg.Role, Ready: true}
-	if s.coord != nil {
+	if s.cfg.Role == roleCoordinator {
 		n := s.coord.LiveCount()
 		v.Members = &n
 		v.Ready = n > 0
@@ -428,28 +394,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-type metricsView struct {
-	ActiveRuns    int           `json:"active_runs"`
-	ActiveUEs     int           `json:"active_ues"`
-	RunsStarted   int           `json:"runs_started"`
-	RunsCompleted int           `json:"runs_completed"`
-	RunsCanceled  int           `json:"runs_canceled"`
-	RunsFailed    int           `json:"runs_failed"`
-	RunsShed      int           `json:"runs_shed"`
-	RunsRecovered int           `json:"runs_recovered"`
-	Handovers     int           `json:"handovers"`
-	Failures      int           `json:"failures"`
-	Blocked       int           `json:"blocked"`
-	Epochs        int           `json:"epochs"`
-	EpochWallHist []bucketCount `json:"epoch_wall_ms_hist"`
-}
-
-type bucketCount struct {
-	LeMs  float64 `json:"le_ms,omitempty"` // 0 means +Inf (overflow bucket)
-	Count int     `json:"count"`
-}
-
-func (s *server) handleMetrics(w http.ResponseWriter, req *http.Request) {
+// handleMetrics serves the service registry as Prometheus text.
+func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	views := make([]*run, 0, len(s.runs))
 	for _, id := range s.order {
@@ -480,16 +426,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	s.sm.blocked.Set(float64(blocked))
 	snap := s.sm.reg.Snapshot()
 	s.mu.Unlock()
-
-	if wantsPrometheus(req) {
-		w.Header().Set("Content-Type", rem.PrometheusContentType)
-		w.Write(snap.PrometheusText())
-		return
-	}
-	writeJSON(w, http.StatusOK, metricsViewFrom(snap))
+	w.Header().Set("Content-Type", rem.PrometheusContentType)
+	w.Write(snap.PrometheusText())
 }
 
-// errBusy is returned by startRun when the non-terminal run count has
+// errBusy is returned by admit when the non-terminal run count has
 // reached MaxActive+MaxQueue; the handler sheds the request with 503.
 var errBusy = errors.New("server at capacity: too many runs in flight")
 
@@ -507,7 +448,7 @@ func (s *server) handleStartRun(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
 		return
 	}
-	r, err := s.startRun(spec)
+	r, err := s.admit("", spec, nil)
 	if errors.Is(err, errBusy) {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSec))
 		httpError(w, http.StatusServiceUnavailable, err)
@@ -548,7 +489,7 @@ func (s *server) fleetSpec(spec wireSpec) (rem.FleetSpec, error) {
 		return rem.FleetSpec{}, fmt.Errorf("spec: shards must be >= 0")
 	}
 	if spec.Shards > 0 {
-		if s.coord == nil {
+		if s.cfg.Role != roleCoordinator {
 			return rem.FleetSpec{}, fmt.Errorf("spec: sharded runs need -role coordinator (this server is %q)", s.cfg.Role)
 		}
 		if spec.Shards > fs.UEs {
@@ -558,44 +499,62 @@ func (s *server) fleetSpec(spec wireSpec) (rem.FleetSpec, error) {
 	return fs, nil
 }
 
-func (s *server) startRun(spec wireSpec) (*run, error) {
+// admit validates spec, registers it as a pending run and starts
+// executing it. A fresh run (id "") is load-shed at capacity, gets the
+// next ID and journals its start. A recovered run keeps its journaled
+// ID and resumes from its journaled barrier history hist: its start
+// entry is still open, so its terminal state pairs with that, and the
+// barriers it replays are not journaled again.
+func (s *server) admit(id string, spec wireSpec, hist [][]int) (*run, error) {
 	fs, err := s.fleetSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	r := &run{
-		spec: spec, cancel: cancel,
+		id: id, spec: spec, cancel: cancel,
 		state: statePending, notify: make(chan struct{}),
-		started: time.Now(),
+		started: time.Now(), resumeHist: hist,
 	}
+	fresh := id == ""
 	s.mu.Lock()
-	// Load shedding: admission is bounded by active slots plus a finite
-	// pending queue. Shedding here (rather than blocking) keeps the
-	// handler's latency flat under overload.
-	inFlight := 0
-	for _, other := range s.runs {
-		other.mu.Lock()
-		if !terminal(other.state) {
-			inFlight++
+	if fresh {
+		// Load shedding: admission is bounded by active slots plus a
+		// finite pending queue. Shedding here (rather than blocking)
+		// keeps the handler's latency flat under overload.
+		inFlight := 0
+		for _, other := range s.runs {
+			other.mu.Lock()
+			if !terminal(other.state) {
+				inFlight++
+			}
+			other.mu.Unlock()
 		}
-		other.mu.Unlock()
+		if inFlight >= s.cfg.MaxActive+s.cfg.MaxQueue {
+			s.sm.shed.Inc()
+			s.mu.Unlock()
+			cancel()
+			return nil, errBusy
+		}
+		s.seq++
+		r.id = fmt.Sprintf("run-%04d", s.seq)
+	} else {
+		s.sm.resumed.Inc()
+		if len(hist) > 1 {
+			// Exposed before the run finishes so an operator (or the
+			// smoke test) can verify mid-flight that the restart
+			// skipped epochs.
+			s.sm.resumeEpoch.Set(float64(len(hist) - 1))
+		}
 	}
-	if inFlight >= s.cfg.MaxActive+s.cfg.MaxQueue {
-		s.sm.shed.Inc()
-		s.mu.Unlock()
-		cancel()
-		return nil, errBusy
-	}
-	s.seq++
-	r.id = fmt.Sprintf("run-%04d", s.seq)
 	s.runs[r.id] = r
 	s.order = append(s.order, r.id)
 	s.sm.started.Inc()
 	s.mu.Unlock()
 
-	s.journalRecord(journalEntry{Op: "start", ID: r.id, Spec: &spec})
+	if fresh {
+		s.journalRecord(journalEntry{Op: "start", ID: r.id, Spec: &spec})
+	}
 	go s.execute(ctx, r, fs)
 	return r, nil
 }
@@ -622,67 +581,15 @@ func (s *server) execute(ctx context.Context, r *run, fs rem.FleetSpec) {
 	r.wake()
 	r.mu.Unlock()
 
-	// Sharded runs execute on the cluster plane, which owns its own
-	// retry story (member failover and reassignment). An in-process run
-	// is a pure function of its spec, so a failed one is not retried:
-	// it would fail the same way again.
-	if r.spec.Shards > 0 && s.coord != nil {
-		res, err := s.runCluster(ctx, r, fs)
-		if err != nil {
-			res = nil
-		}
-		s.finishRunResult(r, res, err)
-		return
-	}
-
-	opts := rem.FleetOptions{
-		Observer: r.appendEvent,
-		Progress: func(p rem.FleetProgress) {
-			r.setProgress(p)
-			s.observeEpoch(p)
-		},
-	}
-	if r.spec.Telemetry {
-		tel := rem.NewTelemetry(rem.TelemetryConfig{})
-		r.mu.Lock()
-		r.tel = tel
-		r.mu.Unlock()
-		opts.Telemetry = tel
-		opts.OnTimeline = func(evs []rem.TimelineEvent) {
-			r.mu.Lock()
-			r.timeline = append(r.timeline, evs...)
-			r.wake()
-			r.mu.Unlock()
-		}
-		// Refresh the snapshot at every epoch barrier: the
-		// coordinator calls Progress while the worker pool is
-		// parked, which is exactly when a snapshot is race-free.
-		prog := opts.Progress
-		opts.Progress = func(p rem.FleetProgress) {
-			prog(p)
-			r.mu.Lock()
-			r.snap = tel.Snapshot()
-			r.mu.Unlock()
-		}
-	}
-	res, err := rem.RunFleetWithOptions(ctx, fs, opts)
-	if err != nil {
-		res = nil
-	}
-	// Final snapshot after the pool has joined: it includes the
-	// post-run TCP stall observations the last timeline batch carried.
-	r.mu.Lock()
-	if r.tel != nil {
-		r.snap = r.tel.Snapshot()
-	}
-	r.mu.Unlock()
+	res, err := s.runCluster(ctx, r, fs)
 	s.finishRunResult(r, res, err)
 }
 
-// runCluster executes a sharded run through the coordinator, bridging
-// the cluster hooks onto the run's event/timeline/progress state and
-// journaling every shard assignment (failovers included) so a restart
-// can reconstruct what ran where.
+// runCluster executes a run through the coordinator's barrier loop —
+// in-process for a local spec, across members for a sharded one —
+// bridging the cluster hooks onto the run's event/timeline/progress
+// state and journaling every shard assignment (failovers included) and
+// every barrier, so a restart can resume the run where it stopped.
 func (s *server) runCluster(ctx context.Context, r *run, fs rem.FleetSpec) (*rem.FleetResult, error) {
 	hooks := cluster.RunHooks{
 		OnEvents: func(evs []rem.FleetEvent) {
@@ -704,7 +611,7 @@ func (s *server) runCluster(ctx context.Context, r *run, fs rem.FleetSpec) (*rem
 		},
 		OnBarrier: func(index int, loads []int) {
 			// The journaled load vectors are the complete replay script:
-			// a restarted coordinator resumes the run from the last
+			// a restarted server resumes the run from the last
 			// contiguous barrier instead of re-executing from epoch 0.
 			s.journalRecord(journalEntry{Op: "epoch", ID: r.id, Epoch: index, Loads: loads})
 		},
@@ -727,9 +634,9 @@ func (s *server) runCluster(ctx context.Context, r *run, fs rem.FleetSpec) (*rem
 	if err != nil {
 		return nil, err
 	}
-	// The merged snapshot arrives with the artifacts (shard registries
-	// only ship their dumps at finish), so unlike in-process armed runs
-	// there are no mid-run snapshot refreshes.
+	// The merged snapshot arrives with the artifacts: shard registries
+	// only ship their dumps at finish, so there are no mid-run
+	// snapshot refreshes.
 	if art.Snapshot != nil {
 		r.mu.Lock()
 		r.snap = art.Snapshot
@@ -851,35 +758,7 @@ func (s *server) handleEvents(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no such run"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	idx := 0
-	for {
-		r.mu.Lock()
-		pending := r.events[idx:]
-		idx = len(r.events)
-		done := terminal(r.state)
-		notify := r.notify
-		r.mu.Unlock()
-
-		for _, ev := range pending {
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-		}
-		if len(pending) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		if done {
-			return
-		}
-		select {
-		case <-notify:
-		case <-req.Context().Done():
-			return
-		}
-	}
+	follow(w, req, r, func() []rem.FleetEvent { return r.events })
 }
 
 // handleTimeline streams the run's telemetry timeline as NDJSON:
@@ -897,14 +776,23 @@ func (s *server) handleTimeline(w http.ResponseWriter, req *http.Request) {
 			fmt.Errorf("run has no telemetry; POST the spec with \"telemetry\": true"))
 		return
 	}
+	follow(w, req, r, func() []rem.TimelineEvent { return r.timeline })
+}
+
+// follow writes one of r's append-only logs as NDJSON: every entry
+// buffered so far, then each new batch as it lands (flushed per
+// batch), until the run is terminal or the client goes away. entries
+// is called under r.mu.
+func follow[T any](w http.ResponseWriter, req *http.Request, r *run, entries func() []T) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	idx := 0
 	for {
 		r.mu.Lock()
-		pending := r.timeline[idx:]
-		idx = len(r.timeline)
+		all := entries()
+		pending := all[idx:]
+		idx = len(all)
 		done := terminal(r.state)
 		notify := r.notify
 		r.mu.Unlock()
@@ -928,10 +816,9 @@ func (s *server) handleTimeline(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// handleRunMetrics serves the run's latest metrics snapshot —
-// refreshed at every epoch barrier and after the run finishes — as
-// Prometheus text by default, or the snapshot JSON when the client
-// asks for application/json.
+// handleRunMetrics serves the run's merged metrics snapshot — empty
+// until the run finishes — as Prometheus text by default, or the
+// snapshot JSON when the client asks for application/json.
 func (s *server) handleRunMetrics(w http.ResponseWriter, req *http.Request) {
 	r := s.lookup(req)
 	if r == nil {
@@ -947,7 +834,7 @@ func (s *server) handleRunMetrics(w http.ResponseWriter, req *http.Request) {
 	snap := r.snap
 	r.mu.Unlock()
 	if snap == nil {
-		snap = &rem.MetricsSnapshot{} // armed but no barrier reached yet
+		snap = &rem.MetricsSnapshot{} // armed but not finished yet
 	}
 	if strings.Contains(req.Header.Get("Accept"), "application/json") {
 		writeJSON(w, http.StatusOK, snap)

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -82,6 +84,33 @@ func waitState(t *testing.T, ts *httptest.Server, id, want string) runView {
 	}
 	t.Fatalf("run %s never reached %q", id, want)
 	return runView{}
+}
+
+// scrapeMetrics fetches GET /metrics with no content negotiation and
+// returns each sample's value keyed by its series (name plus labels).
+func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != rem.PrometheusContentType {
+		t.Fatalf("/metrics Content-Type = %q, want %q", ct, rem.PrometheusContentType)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if series, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(series, "#") {
+			if f, err := strconv.ParseFloat(val, 64); err == nil {
+				values[series] = f
+			}
+		}
+	}
+	return values
 }
 
 func TestHealthz(t *testing.T) {
@@ -228,27 +257,16 @@ func TestConcurrentRunsAndCancel(t *testing.T) {
 	waitState(t, ts, long.ID, stateCanceled)
 
 	// Metrics reflect the mixture.
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, ts)
+	if m["remserve_runs_started_total"] != 4 || m["remserve_runs_completed_total"] != 3 || m["remserve_runs_canceled_total"] != 1 {
+		t.Fatalf("metrics: %v", m)
 	}
-	defer mresp.Body.Close()
-	var m metricsView
-	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.RunsStarted != 4 || m.RunsCompleted != 3 || m.RunsCanceled != 1 {
-		t.Fatalf("metrics: %+v", m)
-	}
-	if m.Epochs == 0 {
+	epochs := m["remserve_epochs_total"]
+	if epochs == 0 {
 		t.Fatal("no epochs observed in latency histogram")
 	}
-	total := 0
-	for _, b := range m.EpochWallHist {
-		total += b.Count
-	}
-	if total != m.Epochs {
-		t.Fatalf("histogram sums to %d, epochs = %d", total, m.Epochs)
+	if total := m[`remserve_epoch_wall_ms_bucket{le="+Inf"}`]; total != epochs {
+		t.Fatalf("histogram sums to %g, epochs = %g", total, epochs)
 	}
 	_ = s
 }
@@ -263,17 +281,9 @@ func TestEngineRejectedSpecFails(t *testing.T) {
 	if !strings.Contains(done.Error, "3 workers exceed 2 UEs") {
 		t.Fatalf("run error = %q, want the engine's workers error", done.Error)
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m metricsView
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.RunsStarted != 1 || m.RunsFailed != 1 || m.RunsCompleted != 0 {
-		t.Fatalf("metrics: %+v", m)
+	m := scrapeMetrics(t, ts)
+	if m["remserve_runs_started_total"] != 1 || m["remserve_runs_failed_total"] != 1 || m["remserve_runs_completed_total"] != 0 {
+		t.Fatalf("metrics: %v", m)
 	}
 }
 
@@ -407,14 +417,17 @@ func TestOversizedBodyRejected(t *testing.T) {
 }
 
 func TestJournalRecoveryMarksInterruptedRunFailed(t *testing.T) {
-	// Simulate a crash: write a journal whose last run has a start but
-	// no end. The next server must surface it as failed and keep
-	// allocating fresh IDs after it.
+	// Simulate a crash: write a journal whose last runs have a start
+	// but no end. The next server must re-queue the one with a valid
+	// spec, surface the ones whose spec is missing or invalid as
+	// failed, and keep allocating fresh IDs after all of them.
 	journalPath := filepath.Join(t.TempDir(), "runs.journal")
 	lines := []string{
 		`{"op":"start","id":"run-0001","spec":{"ues":3,"duration_sec":2,"dataset":"beijing-shanghai","mode":"rem"}}`,
 		`{"op":"end","id":"run-0001","state":"done"}`,
-		`{"op":"start","id":"run-0002","spec":{"ues":9,"duration_sec":600,"dataset":"beijing-shanghai","mode":"legacy"}}`,
+		`{"op":"start","id":"run-0002","spec":{"ues":5,"duration_sec":2,"dataset":"beijing-shanghai","mode":"rem","speed_kmh":330,"seed":4}}`,
+		`{"op":"start","id":"run-0003"}`,
+		`{"op":"start","id":"run-0004","spec":{"ues":9,"duration_sec":600,"dataset":"mars","mode":"legacy"}}`,
 		`{"op":"sta`, // torn final write mid-crash: must be tolerated
 	}
 	if err := os.WriteFile(journalPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
@@ -422,24 +435,40 @@ func TestJournalRecoveryMarksInterruptedRunFailed(t *testing.T) {
 	}
 	s, ts := newTestServerCfg(t, serverConfig{JournalPath: journalPath})
 
-	v := getRun(t, ts, "run-0002")
-	if v.State != stateFailed || !strings.Contains(v.Error, "restart") {
-		t.Fatalf("recovered run: state %q err %q, want failed/interrupted", v.State, v.Error)
+	// The valid interrupted run resumes and finishes with the bytes a
+	// fresh run of its spec produces.
+	resumed := waitState(t, ts, "run-0002", stateDone)
+	direct, err := rem.RunFleet(context.Background(), rem.FleetSpec{
+		UEs: 5, Dataset: rem.BeijingShanghai, Mode: rem.ModeREM,
+		SpeedKmh: 330, DurationSec: 2, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v.Spec.UEs != 9 {
+	if !reflect.DeepEqual(*resumed.Result, *direct) {
+		t.Fatal("resumed run differs from a direct fleet run of its spec")
+	}
+
+	for _, id := range []string{"run-0003", "run-0004"} {
+		v := getRun(t, ts, id)
+		if v.State != stateFailed || !strings.Contains(v.Error, "restart") {
+			t.Fatalf("recovered %s: state %q err %q, want failed/interrupted", id, v.State, v.Error)
+		}
+	}
+	if v := getRun(t, ts, "run-0004"); v.Spec.UEs != 9 {
 		t.Fatalf("recovered spec lost: %+v", v.Spec)
 	}
 	s.mu.Lock()
-	recovered := s.sm.recovered.Value()
+	recovered, resumedN := s.sm.recovered.Value(), s.sm.resumed.Value()
 	s.mu.Unlock()
-	if recovered != 1 {
-		t.Fatalf("runs recovered = %v, want 1 (run-0001 ended cleanly)", recovered)
+	if recovered != 2 || resumedN != 1 {
+		t.Fatalf("runs recovered = %v, resumed = %v; want 2 and 1 (run-0001 ended cleanly)", recovered, resumedN)
 	}
 
 	// New runs continue the sequence past recovered IDs.
 	nv := postRun(t, ts, `{"ues":5,"dataset":"beijing-shanghai","mode":"rem","speed_kmh":330,"duration_sec":2,"seed":4}`)
-	if nv.ID != "run-0003" {
-		t.Fatalf("next id = %q, want run-0003", nv.ID)
+	if nv.ID != "run-0005" {
+		t.Fatalf("next id = %q, want run-0005", nv.ID)
 	}
 	waitState(t, ts, nv.ID, stateDone)
 
@@ -451,10 +480,10 @@ func TestJournalRecoveryMarksInterruptedRunFailed(t *testing.T) {
 	}
 	defer s3.journal.Close()
 	s3.mu.Lock()
-	again := s3.sm.recovered.Value()
+	again, againResumed := s3.sm.recovered.Value(), s3.sm.resumed.Value()
 	s3.mu.Unlock()
-	if again != 0 {
-		t.Fatalf("second recovery found %v interrupted runs, want 0", again)
+	if again != 0 || againResumed != 0 {
+		t.Fatalf("second recovery found %v failed and %v resumed runs, want 0", again, againResumed)
 	}
 }
 

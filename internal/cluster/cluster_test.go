@@ -79,7 +79,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	wantEvJS, _ := json.Marshal(wantEvents)
 	wantTlJS, _ := json.Marshal(wantTimeline)
 
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range []int{0, 1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			c := newTestCoordinator(newMemberServer(t), newMemberServer(t))
 			var events []fleet.Event
@@ -109,8 +109,64 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 			if gotTl, _ := json.Marshal(timeline); string(gotTl) != string(wantTlJS) {
 				t.Errorf("timeline differs from single process (%d vs %d events)", len(timeline), len(wantTimeline))
 			}
-			if want := len(art.Assignments); want != shards {
-				t.Errorf("expected %d assignments (no failover), got %d", shards, want)
+			if want := max(shards, 1); len(art.Assignments) != want {
+				t.Errorf("expected %d assignments (no failover), got %d", want, len(art.Assignments))
+			}
+		})
+	}
+}
+
+// TestInProcessRunKeepsUEOffset pins the in-process path (Shards 0)
+// on a coordinator with no members at all: a spec covering a global
+// UE range that starts past 0 runs without waiting for the registry
+// and matches the single-process engine byte for byte, as does the
+// same range sharded across members.
+func TestInProcessRunKeepsUEOffset(t *testing.T) {
+	spec := coupledSpec()
+	spec.UEOffset = 40
+	wantRes, wantSnap, _, wantEvents, wantTimeline := singleProcess(t, spec)
+	wantEvJS, _ := json.Marshal(wantEvents)
+	wantTlJS, _ := json.Marshal(wantTimeline)
+
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c := NewCoordinator(Config{MemberTTL: time.Hour, MemberWait: 50 * time.Millisecond})
+			if shards > 0 {
+				c.Register("m0", newMemberServer(t).URL)
+				c.Register("m1", newMemberServer(t).URL)
+			}
+			var events []fleet.Event
+			var timeline []obs.Event
+			art, err := c.RunFleet(context.Background(), spec, RunOptions{
+				RunID: "t", Shards: shards, Telemetry: true,
+				Hooks: RunHooks{
+					OnEvents:   func(evs []fleet.Event) { events = append(events, evs...) },
+					OnTimeline: func(evs []obs.Event) { timeline = append(timeline, evs...) },
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotRes, _ := json.Marshal(art.Result); string(gotRes) != string(wantRes) {
+				t.Error("result JSON differs from single process")
+			}
+			if gotSnap, _ := json.Marshal(art.Snapshot); string(gotSnap) != string(wantSnap) {
+				t.Error("metrics snapshot differs from single process")
+			}
+			if gotEv, _ := json.Marshal(events); string(gotEv) != string(wantEvJS) {
+				t.Error("event stream differs from single process")
+			}
+			if gotTl, _ := json.Marshal(timeline); string(gotTl) != string(wantTlJS) {
+				t.Error("timeline differs from single process")
+			}
+			if shards > 0 {
+				return
+			}
+			if len(art.Assignments) != 1 || art.Assignments[0].Member != localMemberID {
+				t.Errorf("in-process run assignments = %+v, want one on %q", art.Assignments, localMemberID)
+			}
+			if n := c.local.Shards(); n != 0 {
+				t.Errorf("in-process run left %d shards resident on the private member", n)
 			}
 		})
 	}

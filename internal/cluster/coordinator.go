@@ -74,6 +74,10 @@ func (c Config) defaulted() Config {
 type Coordinator struct {
 	cfg Config
 	bo  *backoff
+	// local is the private member in-process runs (RunOptions.Shards
+	// == 0) execute on. It is never exposed over HTTP: remote members
+	// key shards by run ID, and IDs recur across coordinators.
+	local *Member
 
 	mu      sync.Mutex
 	members map[string]*memberState
@@ -94,7 +98,7 @@ type memberState struct {
 // NewCoordinator builds a coordinator with an empty member registry.
 func NewCoordinator(cfg Config) *Coordinator {
 	cfg = cfg.defaulted()
-	return &Coordinator{cfg: cfg, bo: newBackoff(cfg.RetrySeed), members: make(map[string]*memberState)}
+	return &Coordinator{cfg: cfg, bo: newBackoff(cfg.RetrySeed), local: NewMember(), members: make(map[string]*memberState)}
 }
 
 // RegisterHandlers mounts the membership endpoints on mux.
@@ -110,7 +114,7 @@ func (c *Coordinator) RegisterHandlers(mux *http.ServeMux) {
 // within one heartbeat interval.
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeProtocol(w, r, &req); err != nil {
 		protocolError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -227,6 +231,18 @@ func (c *Coordinator) call(ctx context.Context, addr, path string, in, out any, 
 	}
 }
 
+// send delivers one protocol call for a shard of rs: as a direct method
+// call on the coordinator's private member when rs runs in-process, or
+// over HTTP to the member at addr through call.
+func (o op[Req, Resp]) send(ctx context.Context, c *Coordinator, rs *runState, addr string, req Req, timeout time.Duration) (Resp, error) {
+	if rs.local != nil {
+		return o.serve(rs.local, ctx, req)
+	}
+	var resp Resp
+	err := c.call(ctx, addr, o.path, req, &resp, timeout)
+	return resp, err
+}
+
 // do executes one attempt of a protocol call.
 func (c *Coordinator) do(ctx context.Context, addr, path string, body []byte, out any, timeout time.Duration) error {
 	cctx := ctx
@@ -253,10 +269,6 @@ func (c *Coordinator) do(ctx context.Context, addr, path string, body []byte, ou
 			rerr = fmt.Errorf("%s: %s", resp.Status, e.Error)
 		}
 		return &RPCError{Path: path, Status: resp.StatusCode, Class: classifyStatus(resp.StatusCode), Err: rerr}
-	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
 	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {

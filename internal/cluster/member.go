@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -18,6 +21,11 @@ import (
 // shard state, abort drops it. A member holds any number of shards from
 // any number of runs; distinct shards step concurrently, one shard
 // never does.
+//
+// The protocol is served once, by the start/step/finish/abort methods:
+// RegisterHandlers mounts them behind thin HTTP decode/encode wrappers,
+// and a coordinator's private in-process member is driven by calling
+// them directly.
 //
 // The protocol is idempotent per epoch: the member caches the response
 // of the last step (keyed by epoch) and of finish, so a coordinator
@@ -50,11 +58,12 @@ func (m *Member) StepReplays() int64 { return m.stepReplays.Load() }
 func (m *Member) FinishReplays() int64 { return m.finishReplays.Load() }
 
 // shardRun is one shard engine plus its per-epoch output buffers. The
-// engine's hooks append into the buffers; each protocol call swaps them
-// out under the shard lock. lastStep and finResp are the idempotency
-// caches: lastStep holds the response already sent for epoch-1 (valid
-// until the next step truncates the buffers it references), finResp
-// the finish response (the engine is released once it exists).
+// engine's hooks append into the buffers; each step hands them to its
+// response and starts fresh ones, so a response — cached, or still
+// being encoded for a retried call — is never mutated underneath its
+// reader. lastStep and finResp are the idempotency caches: lastStep
+// holds the response already sent for epoch-1, finResp the finish
+// response (the engine is released once it exists).
 type shardRun struct {
 	mu       sync.Mutex
 	eng      *fleet.Engine
@@ -63,6 +72,7 @@ type shardRun struct {
 	done     bool
 	events   []fleet.Event
 	timeline []obs.Event
+	allocs   uint64
 	lastStep *stepResponse
 	finResp  *finishResponse
 }
@@ -71,12 +81,64 @@ func shardKey(run string, shard int) string {
 	return fmt.Sprintf("%s/%d", run, shard)
 }
 
+// statusError is a member-side protocol failure tagged with the HTTP
+// status the member answers it with; the coordinator's classifyStatus
+// reads that status back to choose retry, failover or abort.
+type statusError struct {
+	status int
+	err    error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+func (e *statusError) Unwrap() error { return e.err }
+
+// statusOf is the HTTP status a protocol failure is answered with.
+func statusOf(err error) int {
+	var pe *statusError
+	if errors.As(err, &pe) {
+		return pe.status
+	}
+	return http.StatusInternalServerError
+}
+
+// op is one shard-protocol call: its HTTP path and the Member method
+// that serves it. The HTTP handler and the coordinator's in-process
+// transport both go through serve, so the protocol logic exists once.
+type op[Req, Resp any] struct {
+	path  string
+	serve func(*Member, context.Context, Req) (Resp, error)
+}
+
+var (
+	opStart  = op[startRequest, *startResponse]{pathShardStart, (*Member).start}
+	opStep   = op[stepRequest, *stepResponse]{pathShardStep, (*Member).step}
+	opFinish = op[finishRequest, *finishResponse]{pathShardFinish, (*Member).finish}
+	opAbort  = op[abortRequest, struct{}]{pathShardAbort, (*Member).abort}
+)
+
+// handler is the HTTP face of the call: strict decode, serve, encode.
+func (o op[Req, Resp]) handler(m *Member) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := decodeProtocol(w, r, &req); err != nil {
+			protocolError(w, http.StatusBadRequest, err)
+			return
+		}
+		resp, err := o.serve(m, r.Context(), req)
+		if err != nil {
+			protocolError(w, statusOf(err), err)
+			return
+		}
+		writeProtocolJSON(w, resp)
+	}
+}
+
 // RegisterHandlers mounts the shard protocol on mux.
 func (m *Member) RegisterHandlers(mux *http.ServeMux) {
-	mux.HandleFunc("POST "+pathShardStart, m.handleStart)
-	mux.HandleFunc("POST "+pathShardStep, m.handleStep)
-	mux.HandleFunc("POST "+pathShardFinish, m.handleFinish)
-	mux.HandleFunc("POST "+pathShardAbort, m.handleAbort)
+	mux.HandleFunc("POST "+opStart.path, opStart.handler(m))
+	mux.HandleFunc("POST "+opStep.path, opStep.handler(m))
+	mux.HandleFunc("POST "+opFinish.path, opFinish.handler(m))
+	mux.HandleFunc("POST "+opAbort.path, opAbort.handler(m))
 }
 
 // Shards reports how many shard engines are currently resident.
@@ -86,23 +148,18 @@ func (m *Member) Shards() int {
 	return len(m.shards)
 }
 
-// handleStart builds a shard engine. Restarting an existing key
-// replaces the old engine: that is the failover path when a shard is
-// reassigned back to a member that still holds a stale copy.
-func (m *Member) handleStart(w http.ResponseWriter, r *http.Request) {
-	var req startRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		protocolError(w, http.StatusBadRequest, err)
-		return
-	}
+// start builds a shard engine. Restarting an existing key replaces the
+// old engine: that is the failover path when a shard is reassigned
+// back to a member that still holds a stale copy.
+func (m *Member) start(ctx context.Context, req startRequest) (*startResponse, error) {
 	spec, err := req.Spec.ToFleet()
 	if err != nil {
-		protocolError(w, http.StatusBadRequest, err)
-		return
+		return nil, &statusError{http.StatusBadRequest, err}
 	}
 	sr := &shardRun{}
 	opts := fleet.Options{
 		Observer: func(ev fleet.Event) { sr.events = append(sr.events, ev) },
+		Progress: func(p fleet.Progress) { sr.allocs = p.EpochAllocs },
 	}
 	if req.Telemetry {
 		sr.tel = obs.New(obs.Config{})
@@ -110,22 +167,25 @@ func (m *Member) handleStart(w http.ResponseWriter, r *http.Request) {
 		// The batch slice is pooled inside the engine — copy out.
 		opts.OnTimeline = func(evs []obs.Event) { sr.timeline = append(sr.timeline, evs...) }
 	}
-	eng, err := fleet.NewEngine(r.Context(), spec, opts)
+	eng, err := fleet.NewEngine(ctx, spec, opts)
 	if err != nil {
-		protocolError(w, http.StatusBadRequest, err)
-		return
+		return nil, &statusError{http.StatusBadRequest, err}
 	}
 	sr.eng = eng
 	m.mu.Lock()
 	m.shards[shardKey(req.Run, req.Shard)] = sr
 	m.mu.Unlock()
-	writeProtocolJSON(w, startResponse{Loads: eng.Loads()})
+	return &startResponse{Loads: eng.Loads()}, nil
 }
 
-func (m *Member) lookup(run string, shard int) *shardRun {
+// lookup finds a resident shard, or reports it unknown (404).
+func (m *Member) lookup(run string, shard int) (*shardRun, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.shards[shardKey(run, shard)]
+	if sr := m.shards[shardKey(run, shard)]; sr != nil {
+		return sr, nil
+	}
+	return nil, &statusError{http.StatusNotFound, fmt.Errorf("cluster: unknown shard %s", shardKey(run, shard))}
 }
 
 func (m *Member) drop(run string, shard int) {
@@ -134,96 +194,75 @@ func (m *Member) drop(run string, shard int) {
 	m.mu.Unlock()
 }
 
-// handleStep installs the global loads and advances the shard one
-// epoch. A request for the epoch just stepped is a retry after a lost
-// response and is answered from the idempotency cache without touching
-// the engine. Any engine failure drops the shard and reports 500 — the
+// step installs the global loads and advances the shard one epoch. A
+// request for the epoch just stepped is a retry after a lost response
+// and is answered from the idempotency cache without touching the
+// engine. Any engine failure drops the shard and reports 500 — the
 // coordinator treats the member as lost for this shard and reassigns,
 // so a half-stepped engine is never stepped again.
-func (m *Member) handleStep(w http.ResponseWriter, r *http.Request) {
-	var req stepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		protocolError(w, http.StatusBadRequest, err)
-		return
-	}
-	sr := m.lookup(req.Run, req.Shard)
-	if sr == nil {
-		protocolError(w, http.StatusNotFound, fmt.Errorf("cluster: unknown shard %s", shardKey(req.Run, req.Shard)))
-		return
+func (m *Member) step(ctx context.Context, req stepRequest) (*stepResponse, error) {
+	sr, err := m.lookup(req.Run, req.Shard)
+	if err != nil {
+		return nil, err
 	}
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	if sr.lastStep != nil && req.Epoch == sr.epoch-1 {
 		// Duplicate of the last step: the response never reached the
-		// coordinator. Return the cached bytes; the engine already
+		// coordinator. Return the cached response; the engine already
 		// advanced and must not advance again.
 		m.stepReplays.Add(1)
-		writeProtocolJSON(w, *sr.lastStep)
-		return
+		return sr.lastStep, nil
 	}
 	if req.Epoch != sr.epoch || sr.finResp != nil {
 		m.drop(req.Run, req.Shard)
-		protocolError(w, http.StatusConflict,
-			fmt.Errorf("cluster: shard %s at epoch %d, coordinator asked for %d", shardKey(req.Run, req.Shard), sr.epoch, req.Epoch))
-		return
+		return nil, &statusError{http.StatusConflict,
+			fmt.Errorf("cluster: shard %s at epoch %d, coordinator asked for %d", shardKey(req.Run, req.Shard), sr.epoch, req.Epoch)}
 	}
 	if err := sr.eng.SetLoads(req.Loads); err != nil {
 		m.drop(req.Run, req.Shard)
-		protocolError(w, http.StatusInternalServerError, err)
-		return
+		return nil, &statusError{http.StatusInternalServerError, err}
 	}
-	sr.events = sr.events[:0]
-	sr.timeline = sr.timeline[:0]
-	done, err := sr.eng.StepEpoch(r.Context())
+	sr.events, sr.timeline = nil, nil
+	done, err := sr.eng.StepEpoch(ctx)
 	if err != nil {
 		m.drop(req.Run, req.Shard)
-		protocolError(w, http.StatusInternalServerError, err)
-		return
+		return nil, &statusError{http.StatusInternalServerError, err}
 	}
 	sr.epoch++
 	sr.done = done
-	// Cache the response before sending it: the buffers it references
-	// are only truncated by the next step, which the coordinator sends
-	// only after it has this epoch's response in hand.
 	sr.lastStep = &stepResponse{
 		Done:     done,
 		Events:   sr.events,
 		Loads:    sr.eng.Loads(),
 		Timeline: sr.timeline,
+		Allocs:   sr.allocs,
 	}
-	writeProtocolJSON(w, *sr.lastStep)
+	return sr.lastStep, nil
 }
 
-// handleFinish finalizes a completed shard and ships its raw state:
-// per-UE totals under global ids, shard-local admission and cell
-// tallies, the metrics dump and the final timeline batch (TCP stall
-// replay included). The response is cached and the engine released;
-// the shard entry stays resident so a retry after a lost response
-// replays the cached bytes (the engine is finalized exactly once),
-// until the coordinator's post-run abort sweeps it away.
-func (m *Member) handleFinish(w http.ResponseWriter, r *http.Request) {
-	var req finishRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		protocolError(w, http.StatusBadRequest, err)
-		return
-	}
-	sr := m.lookup(req.Run, req.Shard)
-	if sr == nil {
-		protocolError(w, http.StatusNotFound, fmt.Errorf("cluster: unknown shard %s", shardKey(req.Run, req.Shard)))
-		return
+// finish finalizes a completed shard and ships its raw state: per-UE
+// totals under global ids, shard-local admission and cell tallies, the
+// metrics dump and the final timeline batch (TCP stall replay
+// included). The response is cached and the engine released; the
+// shard entry stays resident so a retry after a lost response replays
+// the cached response (the engine is finalized exactly once), until the
+// coordinator's post-run abort sweeps it away.
+func (m *Member) finish(_ context.Context, req finishRequest) (*finishResponse, error) {
+	sr, err := m.lookup(req.Run, req.Shard)
+	if err != nil {
+		return nil, err
 	}
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	if sr.finResp != nil {
 		m.finishReplays.Add(1)
-		writeProtocolJSON(w, *sr.finResp)
-		return
+		return sr.finResp, nil
 	}
 	if !sr.done {
-		protocolError(w, http.StatusConflict, fmt.Errorf("cluster: shard %s not done", shardKey(req.Run, req.Shard)))
-		return
+		return nil, &statusError{http.StatusConflict, fmt.Errorf("cluster: shard %s not done", shardKey(req.Run, req.Shard))}
 	}
-	sr.timeline = sr.timeline[:0]
+	sr.timeline = nil
 	results := sr.eng.FinishResults()
 	offset := sr.eng.Spec().UEOffset
 	resp := &finishResponse{
@@ -248,19 +287,35 @@ func (m *Member) handleFinish(w http.ResponseWriter, r *http.Request) {
 	// response is needed from here on.
 	sr.eng, sr.tel, sr.lastStep = nil, nil, nil
 	sr.finResp = resp
-	writeProtocolJSON(w, *resp)
+	return resp, nil
 }
 
-// handleAbort drops a shard without finalizing it (run canceled, or
-// the shard was reassigned elsewhere).
-func (m *Member) handleAbort(w http.ResponseWriter, r *http.Request) {
-	var req abortRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		protocolError(w, http.StatusBadRequest, err)
-		return
-	}
+// abort drops a shard without finalizing it (run canceled, or the
+// shard was reassigned elsewhere).
+func (m *Member) abort(_ context.Context, req abortRequest) (struct{}, error) {
 	m.drop(req.Run, req.Shard)
-	writeProtocolJSON(w, struct{}{})
+	return struct{}{}, nil
+}
+
+// maxProtocolBody bounds every cluster protocol request body. It sits
+// well above remserve's default 1 MiB spec limit plus a per-cell load
+// vector, so no valid call comes near it.
+const maxProtocolBody = 8 << 20
+
+// decodeProtocol strictly decodes one protocol request body: at most
+// maxProtocolBody bytes, no unknown fields, nothing after the value.
+// Every failure, an oversize body included, is the caller's 400 — which
+// the coordinator classifies as fatal rather than failing over.
+func decodeProtocol(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxProtocolBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("cluster: trailing data after request body")
+	}
+	return nil
 }
 
 func protocolError(w http.ResponseWriter, code int, err error) {

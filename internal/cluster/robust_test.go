@@ -141,6 +141,58 @@ func TestMemberStepIdempotent(t *testing.T) {
 	}
 }
 
+// TestProtocolDecodingIsStrict pins the bounded, strict request
+// decoding on every member and membership endpoint. Each endpoint's
+// valid body is accepted; the same body with an unknown field, padded
+// past maxProtocolBody, or followed by trailing data is a 400, which
+// the coordinator classifies as fatal instead of failing over in a
+// loop.
+func TestProtocolDecodingIsStrict(t *testing.T) {
+	mux := http.NewServeMux()
+	NewMember().RegisterHandlers(mux)
+	NewCoordinator(Config{}).RegisterHandlers(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tc := range []struct {
+		path, valid string
+		status      int // the valid body's answer
+	}{
+		{pathShardStart, `{"run":"t","shard":0,"spec":{"ues":1,"duration_sec":1,"dataset":"beijing-shanghai","mode":"rem"}}`, http.StatusOK},
+		{pathShardStep, `{"run":"t","shard":1,"epoch":0,"loads":[0]}`, http.StatusNotFound},
+		{pathShardFinish, `{"run":"t","shard":1}`, http.StatusNotFound},
+		{pathShardAbort, `{"run":"t","shard":0}`, http.StatusOK},
+		{pathJoin, `{"id":"m","addr":"http://m"}`, http.StatusOK},
+		{pathHeartbeat, `{"id":"m","addr":"http://m"}`, http.StatusOK},
+	} {
+		if got := post(tc.path, tc.valid); got != tc.status {
+			t.Errorf("%s valid body: status %d, want %d", tc.path, got, tc.status)
+		}
+		for name, body := range map[string]string{
+			"unknown field":    tc.valid[:len(tc.valid)-1] + `,"bogus":1}`,
+			"oversize body":    strings.Repeat(" ", maxProtocolBody) + tc.valid,
+			"trailing garbage": tc.valid + "garbage",
+			"second value":     tc.valid + tc.valid,
+		} {
+			if got := post(tc.path, body); got != http.StatusBadRequest {
+				t.Errorf("%s with %s: status %d, want 400", tc.path, name, got)
+			}
+		}
+	}
+	if classifyStatus(http.StatusBadRequest) != FailFatal {
+		t.Error("a 400 must be fatal, not a failover")
+	}
+}
+
 // TestClusterByteIdenticalUnderChaos runs the coupled spec at shards 2
 // and 4 with a seeded fault plan on the coordinator's transport —
 // dropped requests, dropped responses (the idempotency-critical

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -87,8 +86,11 @@ type Resume struct {
 type RunOptions struct {
 	// RunID names the run in the shard protocol (default "run").
 	RunID string
-	// Shards is the number of UE-range shards (default 1; at most
-	// spec.UEs).
+	// Shards is the number of UE-range shards dispatched to registered
+	// members (at most spec.UEs). 0 runs the whole spec as one shard on
+	// the coordinator's private in-process member: no member wait, and
+	// every failure is fatal, since a deterministic run has nothing to
+	// fail over to.
 	Shards int
 	// Telemetry arms the observability plane on every shard; the
 	// merged snapshot lands in Artifacts.Snapshot.
@@ -122,6 +124,9 @@ type runState struct {
 	id        string
 	telemetry bool
 	hooks     RunHooks
+	// local is the coordinator's private member when the run executes
+	// in-process (nil for a run on registered members).
+	local *Member
 	// loadHist[k] is the global per-cell load vector installed before
 	// epoch k — the replay script a failover needs to re-derive any
 	// shard's state at any barrier.
@@ -202,37 +207,39 @@ type shardState struct {
 	initLoads []int
 	// replay holds the shard's replayed step responses when a resumed
 	// run's initial placement collects them for re-emission.
-	replay []stepResponse
+	replay []*stepResponse
 }
 
-// RunFleet executes spec across the live members as opts.Shards
-// UE-range shards in epoch lock-step and merges the output. The merged
-// result, metrics snapshot, event stream and timeline are
-// byte-identical to RunWithOptions of the same spec in one process.
-// Member failures at any point trigger reassignment; the run only
-// fails when no live members remain.
+// RunFleet executes spec as opts.Shards UE-range shards in epoch
+// lock-step — on the live members, or in-process when opts.Shards is 0
+// — and merges the output. The merged result, metrics snapshot, event
+// stream and timeline are byte-identical to RunWithOptions of the same
+// spec in one process. Member failures at any point trigger
+// reassignment; the run only fails when no live members remain.
 func (c *Coordinator) RunFleet(ctx context.Context, spec fleet.Spec, opts RunOptions) (*Artifacts, error) {
 	spec = spec.Defaulted()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.UEOffset != 0 {
-		return nil, fmt.Errorf("cluster: spec already sharded (UEOffset %d)", spec.UEOffset)
-	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards > spec.UEs {
-		return nil, fmt.Errorf("cluster: %d shards exceed %d UEs", shards, spec.UEs)
-	}
 	rs := &runState{id: opts.RunID, telemetry: opts.Telemetry, hooks: opts.Hooks}
 	if rs.id == "" {
 		rs.id = "run"
 	}
+	shards := opts.Shards
+	switch {
+	case shards < 0:
+		return nil, fmt.Errorf("cluster: negative shard count %d", shards)
+	case shards == 0:
+		shards, rs.local = 1, c.local
+	case shards > spec.UEs:
+		return nil, fmt.Errorf("cluster: %d shards exceed %d UEs", shards, spec.UEs)
+	}
 
+	// Shards tile the spec's own global UE range, which starts at
+	// spec.UEOffset.
 	sts := make([]*shardState, shards)
 	for i, rng := range PartitionUEs(spec.UEs, shards) {
+		rng.Offset += spec.UEOffset
 		ss := spec
 		ss.UEOffset, ss.UEs = rng.Offset, rng.UEs
 		if ss.Workers > ss.UEs {
@@ -245,9 +252,6 @@ func (c *Coordinator) RunFleet(ctx context.Context, spec fleet.Spec, opts RunOpt
 	// journal and places every shard with a replay to the last
 	// journaled barrier; a fresh run starts the shards and derives the
 	// global epoch-zero load snapshot.
-	if err := c.waitForMembers(ctx, 1); err != nil {
-		return nil, err
-	}
 	startEpoch := 0
 	resumed := opts.Resume != nil && len(opts.Resume.LoadHist) > 0
 	if resumed {
@@ -303,7 +307,7 @@ func (c *Coordinator) RunFleet(ctx context.Context, spec fleet.Spec, opts RunOpt
 		batch := make([]*stepResponse, len(sts))
 		for k := 0; k < startEpoch; k++ {
 			for i, sh := range sts {
-				batch[i] = &sh.replay[k]
+				batch[i] = sh.replay[k]
 				if k == startEpoch-1 && sh.replay[k].Done {
 					resumeDone = true
 				}
@@ -323,7 +327,13 @@ func (c *Coordinator) RunFleet(ctx context.Context, spec fleet.Spec, opts RunOpt
 	// globals. A resumed run whose history already covers every epoch
 	// skips the loop and goes straight to finish. Each round is timed
 	// for the Progress heartbeat only; wall time never reaches the
-	// result, snapshot or timeline.
+	// result, snapshot or timeline. Simulated time advances exactly as
+	// the engine's own clock does, so the heartbeat carries its bits.
+	simT := 0.0
+	advance := func() { simT = min(simT+spec.EpochSec, spec.DurationSec) }
+	for k := 0; k < startEpoch; k++ {
+		advance()
+	}
 	epoch := startEpoch
 	for !resumeDone {
 		roundStart := time.Now()
@@ -334,7 +344,9 @@ func (c *Coordinator) RunFleet(ctx context.Context, spec fleet.Spec, opts RunOpt
 		}
 		done := steps[0].Done
 		global = make([]int, len(rs.loadHist[0]))
+		var allocs uint64
 		for _, sr := range steps {
+			allocs += sr.Allocs
 			if sr.Done != done {
 				c.abortShards(rs, sts)
 				return nil, fmt.Errorf("cluster: shards disagree on epoch schedule at epoch %d", epoch)
@@ -348,15 +360,12 @@ func (c *Coordinator) RunFleet(ctx context.Context, spec fleet.Spec, opts RunOpt
 		rs.barrier(global)
 		maxLoads(peaks, global)
 		epoch++
+		advance()
 		if rs.hooks.OnProgress != nil {
-			simT := float64(epoch) * spec.EpochSec
-			if simT > spec.DurationSec {
-				simT = spec.DurationSec
-			}
 			rs.hooks.OnProgress(fleet.Progress{
 				SimTime: simT, Attached: sumLoads(global),
 				Handovers: rs.handovers, Failures: rs.failures, Blocked: rs.blocked,
-				WallStep: time.Since(roundStart),
+				WallStep: time.Since(roundStart), EpochAllocs: allocs,
 			})
 		}
 		if done {
@@ -438,13 +447,16 @@ func (c *Coordinator) RunFleet(ctx context.Context, spec fleet.Spec, opts RunOpt
 func (c *Coordinator) placeShard(ctx context.Context, rs *runState, sh *shardState, fromEpoch int, reassigned bool) error {
 	avoid := ""
 	for {
-		if err := c.waitForMembers(ctx, 1); err != nil {
-			return fmt.Errorf("cluster: shard %d unplaceable: %w", sh.idx, err)
-		}
-		live := c.liveMembers()
-		m := live[sh.idx%len(live)]
-		if m.ID == avoid && len(live) > 1 {
-			m = live[(sh.idx+1)%len(live)]
+		m := MemberInfo{ID: localMemberID, Live: true}
+		if rs.local == nil {
+			if err := c.waitForMembers(ctx, 1); err != nil {
+				return fmt.Errorf("cluster: shard %d unplaceable: %w", sh.idx, err)
+			}
+			live := c.liveMembers()
+			m = live[sh.idx%len(live)]
+			if m.ID == avoid && len(live) > 1 {
+				m = live[(sh.idx+1)%len(live)]
+			}
 		}
 		err := c.startAndReplay(ctx, rs, sh, m, fromEpoch)
 		if err == nil {
@@ -455,7 +467,7 @@ func (c *Coordinator) placeShard(ctx context.Context, rs *runState, sh *shardSta
 			})
 			return nil
 		}
-		if ctx.Err() != nil || isFatal(err) {
+		if rs.fatal(ctx, err) {
 			return err
 		}
 		c.markDead(m.ID)
@@ -463,20 +475,25 @@ func (c *Coordinator) placeShard(ctx context.Context, rs *runState, sh *shardSta
 	}
 }
 
-// isFatal reports whether err is a protocol rejection that retrying
-// elsewhere cannot fix.
-func isFatal(err error) bool {
+// localMemberID names the coordinator's private member in the
+// assignment history of an in-process run.
+const localMemberID = "local"
+
+// fatal reports whether err ends the run instead of failing the shard
+// over: the run is canceled, the run is in-process (a deterministic
+// failure would only recur), or err is a protocol rejection that
+// retrying elsewhere cannot fix.
+func (rs *runState) fatal(ctx context.Context, err error) bool {
 	var rpc *RPCError
-	return errors.As(err, &rpc) && rpc.Class == FailFatal
+	return ctx.Err() != nil || rs.local != nil || errors.As(err, &rpc) && rpc.Class == FailFatal
 }
 
 // startAndReplay builds the shard on m and replays epochs
 // [0, fromEpoch) from the load history.
 func (c *Coordinator) startAndReplay(ctx context.Context, rs *runState, sh *shardState, m MemberInfo, fromEpoch int) error {
-	var sres startResponse
-	err := c.call(ctx, m.Addr, pathShardStart, startRequest{
+	sres, err := opStart.send(ctx, c, rs, m.Addr, startRequest{
 		Run: rs.id, Shard: sh.idx, Spec: SpecToWire(sh.spec), Telemetry: rs.telemetry,
-	}, &sres, c.cfg.CallTimeout)
+	}, c.cfg.CallTimeout)
 	if err != nil {
 		return err
 	}
@@ -485,10 +502,9 @@ func (c *Coordinator) startAndReplay(ctx context.Context, rs *runState, sh *shar
 		sh.replay = sh.replay[:0]
 	}
 	for k := 0; k < fromEpoch; k++ {
-		var step stepResponse
-		err := c.call(ctx, m.Addr, pathShardStep, stepRequest{
+		step, err := opStep.send(ctx, c, rs, m.Addr, stepRequest{
 			Run: rs.id, Shard: sh.idx, Epoch: k, Loads: rs.loadHist[k],
-		}, &step, c.cfg.CallTimeout)
+		}, c.cfg.CallTimeout)
 		if err != nil {
 			return err
 		}
@@ -514,15 +530,14 @@ func (c *Coordinator) stepAll(ctx context.Context, rs *runState, sts []*shardSta
 		go func(i int, sh *shardState) {
 			defer wg.Done()
 			for {
-				var step stepResponse
-				err := c.call(ctx, sh.member.Addr, pathShardStep, stepRequest{
+				step, err := opStep.send(ctx, c, rs, sh.member.Addr, stepRequest{
 					Run: rs.id, Shard: sh.idx, Epoch: epoch, Loads: rs.loadHist[epoch],
-				}, &step, c.cfg.BarrierDeadline)
+				}, c.cfg.BarrierDeadline)
 				if err == nil {
-					out[i] = &step
+					out[i] = step
 					return
 				}
-				if ctx.Err() != nil || isFatal(err) {
+				if rs.fatal(ctx, err) {
 					errs[i] = err
 					return
 				}
@@ -554,14 +569,13 @@ func (c *Coordinator) finishAll(ctx context.Context, rs *runState, sts []*shardS
 		go func(i int, sh *shardState) {
 			defer wg.Done()
 			for {
-				var fin finishResponse
-				err := c.call(ctx, sh.member.Addr, pathShardFinish,
-					finishRequest{Run: rs.id, Shard: sh.idx}, &fin, c.cfg.CallTimeout)
+				fin, err := opFinish.send(ctx, c, rs, sh.member.Addr,
+					finishRequest{Run: rs.id, Shard: sh.idx}, c.cfg.CallTimeout)
 				if err == nil {
-					out[i] = &fin
+					out[i] = fin
 					return
 				}
-				if ctx.Err() != nil || isFatal(err) {
+				if rs.fatal(ctx, err) {
 					errs[i] = err
 					return
 				}
@@ -592,28 +606,18 @@ const abortTimeout = 2 * time.Second
 func (c *Coordinator) abortShards(rs *runState, sts []*shardState) {
 	var wg sync.WaitGroup
 	for _, sh := range sts {
-		if sh.member.Addr == "" {
-			continue
+		if sh.member.ID == "" {
+			continue // never placed
 		}
 		wg.Add(1)
 		go func(sh *shardState) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), abortTimeout)
 			defer cancel()
-			_ = c.do(ctx, sh.member.Addr, pathShardAbort,
-				mustJSON(abortRequest{Run: rs.id, Shard: sh.idx}), nil, 0)
+			_, _ = opAbort.send(ctx, c, rs, sh.member.Addr, abortRequest{Run: rs.id, Shard: sh.idx}, 0)
 		}(sh)
 	}
 	wg.Wait()
-}
-
-// mustJSON marshals a wire struct that cannot fail to encode.
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 func addLoads(dst, src []int) error {

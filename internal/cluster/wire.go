@@ -2,7 +2,9 @@
 // that partitions a fleet run's UE id space into contiguous shard
 // ranges, dispatches each range to a member node over HTTP, drives all
 // shards through an epoch-locked barrier, and merges their output
-// deterministically.
+// deterministically. A run with no shards requested executes as one
+// shard on the coordinator's own private member, through the same
+// barrier loop, with direct method calls in place of HTTP.
 //
 // # Determinism model
 //
@@ -143,6 +145,9 @@ type stepResponse struct {
 	Loads []int `json:"loads"`
 	// Timeline is the epoch's telemetry batch (armed runs only).
 	Timeline []obs.Event `json:"timeline,omitempty"`
+	// Allocs is the heap objects the member allocated stepping the
+	// epoch (fleet.Progress.EpochAllocs); the coordinator sums it.
+	Allocs uint64 `json:"allocs,omitempty"`
 }
 
 // finishRequest finalizes a completed shard. Idempotent: the engine is

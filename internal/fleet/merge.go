@@ -29,7 +29,8 @@ type ShardSlice struct {
 
 // MergeShards reduces per-shard raw results into the Result a
 // single-process run of spec produces. Shards are reordered by Offset
-// and must tile [0, spec.UEs) exactly. The reduction is the engine's
+// and must tile the spec's global range [spec.UEOffset,
+// spec.UEOffset+spec.UEs) exactly. The reduction is the engine's
 // own foldResult over the concatenated results in global UE order, so
 // every floating-point fold runs in the single-process order and the
 // merge is byte-identical, not merely statistically equivalent.
@@ -41,7 +42,6 @@ type ShardSlice struct {
 // the global sum.
 func MergeShards(spec Spec, shards []ShardSlice, peaks, finals []int) (*Result, error) {
 	spec = spec.withDefaults()
-	spec.UEOffset = 0
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -53,8 +53,8 @@ func MergeShards(spec Spec, shards []ShardSlice, peaks, finals []int) (*Result, 
 	var cells []CellStat
 	var tpTotals []transport.Totals
 	for _, sh := range sorted {
-		if sh.Offset != len(results) {
-			return nil, fmt.Errorf("fleet: merge: shard ranges not contiguous at UE %d (offset %d)", len(results), sh.Offset)
+		if next := spec.UEOffset + len(results); sh.Offset != next {
+			return nil, fmt.Errorf("fleet: merge: shard ranges not contiguous at UE %d (offset %d)", next, sh.Offset)
 		}
 		if spec.Transport != nil {
 			if len(sh.Transport) != len(sh.Results) {
@@ -91,6 +91,6 @@ func MergeShards(spec Spec, shards []ShardSlice, peaks, finals []int) (*Result, 
 			cells[id].PeakAttached = peaks[id]
 		}
 	}
-	return foldResult(spec, results, func(ue int) int64 { return sim.ReplicaSeed(spec.Seed, ue) },
+	return foldResult(spec, results, func(ue int) int64 { return sim.ReplicaSeed(spec.Seed, spec.UEOffset+ue) },
 		blocked, cells, finals, tpTotals), nil
 }
