@@ -239,8 +239,8 @@ type Engine struct {
 	adm    *core.Admission
 
 	// arena holds every UE's RNG generator state in contiguous chunks:
-	// streams seed lazily on first draw and tick-budgeted streams
-	// materialize as short output tapes, so an epoch streams generator
+	// streams seed lazily on first draw and small-budget streams run in
+	// direct mode with no window at all, so an epoch streams generator
 	// state roughly in stepping order instead of pointer-chasing ~20
 	// scattered ~5 KB windows per UE. Draw sequences are byte-identical
 	// to the eager path (see sim.ArenaStreams).
@@ -508,7 +508,7 @@ func (e *Engine) StepEpoch(ctx context.Context) (done bool, err error) {
 }
 
 // RNGStats returns a snapshot of the fleet's RNG arena accounting:
-// stream/seeded/tape/window counts, spills, and resident bytes. It is
+// stream/seeded/direct/window counts, spills, and resident bytes. It is
 // the basis of rembench's bytes-of-RNG-state-per-UE stat.
 func (e *Engine) RNGStats() sim.ArenaStats { return e.arena.Stats() }
 

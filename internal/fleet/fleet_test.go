@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rem/internal/fault"
@@ -346,6 +347,20 @@ func TestFleetFaultPlanDeterminism(t *testing.T) {
 	}
 	if losses == 0 {
 		t.Error("fault plan injected no losses")
+	}
+}
+
+// TestFleetBuildErrorNamesGlobalUE: a UE that cannot attach at start
+// (every cell out at t=0) fails the build with its global id, so a
+// shard's error names the same UE as the unsharded run would.
+func TestFleetBuildErrorNamesGlobalUE(t *testing.T) {
+	_, err := Run(context.Background(), Spec{
+		UEs: 4, UEOffset: 500, Workers: 1, Dataset: trace.BeijingShanghai, Mode: trace.REM,
+		DurationSec: 2, Seed: 1,
+		Faults: &fault.Plan{Outages: []fault.CellOutage{{Cell: fault.AllCells, Start: 0, End: 1}}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "fleet: UE 500:") {
+		t.Fatalf("err = %v, want it to name UE 500", err)
 	}
 }
 

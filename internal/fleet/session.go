@@ -99,7 +99,7 @@ func (e *Engine) buildSession(ue int) error {
 		ss.tp = transport.NewUE(*tspec, rng)
 	}
 	if err := mobility.InitRunner(&e.runners[ue], built.Streams, built.Scenario); err != nil {
-		return fmt.Errorf("fleet: UE %d: %w", ue, err)
+		return fmt.Errorf("fleet: UE %d: %w", gue, err)
 	}
 	ss.wasAttached = true
 	ss.lastServing = e.runners[ue].Serving()

@@ -305,8 +305,9 @@ func InitRunner(r *Runner, streams sim.StreamSource, sc *Scenario) error {
 	// The measurement stream draws a few raw words per tick (RSRP noise
 	// Gauss draws, report loss Bernoullis); 6/tick plus slack bounds it
 	// comfortably. The budget is a residency hint for arena-backed
-	// factories — exceeding it is transparent (sim.ArenaStreams) — and
-	// eager factories ignore it.
+	// factories: a padded budget under 607 draws (runs under about 80
+	// ticks) runs in direct mode with no window. Exceeding it is
+	// transparent (sim.ArenaStreams), and eager factories ignore it.
 	measBudget := 6*(int(sc.Duration/cfg.TickSec)+1) + 16
 	*r = Runner{
 		sc:             sc,

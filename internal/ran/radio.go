@@ -52,9 +52,9 @@ type RadioConfig struct {
 	// ShadowDrawBudget is the expected raw-draw upper bound per
 	// shadowing stream (roughly one Gauss per tick of the run), passed
 	// to the stream factory as a residency hint: arena-backed factories
-	// materialize budgeted streams as short tapes instead of full
-	// 607-word generator windows. 0 means unbounded. The hint never
-	// affects draw values (see sim.ArenaStreams.StreamBudget).
+	// run small-budget streams in direct mode, with no 607-word
+	// generator window. 0 means unbounded. The hint never affects draw
+	// values (see sim.ArenaStreams.StreamBudget).
 	ShadowDrawBudget int
 }
 
@@ -286,7 +286,8 @@ func NewRadioEnv(dep *Deployment, cfg RadioConfig, streams sim.StreamSource) *Ra
 		Dep: dep,
 		Cfg: cfg,
 		// Fading draws two Gauss per visible cell per tick — far past
-		// any tape, so it stays an unbounded (full-window) stream.
+		// direct mode's 607 draws, so it stays an unbounded (full-window)
+		// stream.
 		rng: streams.Stream("ran.fading"),
 	}
 	// Stream creation order (per BS, then per cell) is part of the seed

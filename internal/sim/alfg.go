@@ -16,26 +16,36 @@ import (
 // cross-checks raw word sequences and every RNG distribution against
 // the stdlib over multiple seeds and 10^6-draw horizons.
 //
-// Three representations, chosen per stream:
+// Seeding. rngSource.Seed fills its 607-word window from the Lehmer
+// LCG L_s = 48271^s·x0 mod (2^31−1): word i is L_{21+3i}<<40 ^
+// L_{22+3i}<<20 ^ L_{23+3i} ^ cooked[i]. The stdlib walks that chain
+// serially, 1,841 dependent Schrage steps. Here a table of the powers
+// 48271^(21+j) turns every L_s into one independent multiply and a
+// Mersenne-prime reduction — the same integers, so the same words —
+// and any single word costs three multiplies.
 //
-//   - unseeded: nothing allocated. A stream that never draws (a
-//     disarmed fault verdict stream, a cold stream of a short run)
-//     pays neither the 607-word seeding loop nor the memory.
-//   - tape: for streams created with a small draw budget (for example
-//     tick-driven shadowing, which draws once per tick of a run of
-//     known duration) the first draw runs the seeding loop into a
-//     stack scratch, rolls the recurrence forward, and records only
-//     the outputs — budget+slack words instead of 607. The recorded
-//     words are exactly what the full generator would emit, so draws
-//     are bit-identical; only residency changes.
-//   - vec: the classic 607-word rolling window, for unbounded or
+// Two representations, chosen per stream from its draw budget:
+//
+//   - direct: for streams created with a small draw budget (for
+//     example tick-driven shadowing, which draws once per tick of a
+//     run of known duration). Draw k < 607 of a fresh generator adds
+//     the feed slot (333−k) mod 607, which no earlier draw has
+//     rewritten, to the tap slot 606−k, which still holds its seeded
+//     word for k < 273 and holds output k−273 after. So output k is
+//     word(333−k) + word(606−k) for k < 273, and up to k = 606 it is
+//     word((940−k) mod 607) + output(k−273): a pure function of at
+//     most four seeded words. A direct stream stores only x0 and a
+//     draw cursor and computes each output from the jump table: no
+//     arena words, no seeding loop.
+//   - window: the classic 607-word rolling window, for unbounded or
 //     large-budget streams. The window lives in the arena (or its own
-//     allocation for standalone sources).
+//     allocation for standalone sources) and is seeded on first draw;
+//     a stream that never draws allocates nothing.
 //
-// A tape that runs dry upgrades itself transparently: the source
-// reseeds into a full 607-word window, fast-forwards by the consumed
-// draw count, and continues — slower for that one stream, never wrong.
-// Budgets are therefore performance hints, not correctness contracts.
+// A direct stream that reaches draw 607 spills transparently: the
+// source seeds a full window, replays the 607 consumed draws, and
+// continues — slower for that one stream, never wrong. Budgets are
+// therefore performance hints, not correctness contracts.
 const (
 	alfgLen  = 607
 	alfgTap  = 273
@@ -48,13 +58,17 @@ const (
 	alfgSeedQ = 44488
 	alfgSeedR = 3399
 
-	// tapeSlack pads a draw budget for the stdlib distributions that
+	// alfgSeedSkip is the LCG step that yields window word 0's first
+	// part; the 20 steps before it are discarded.
+	alfgSeedSkip = 21
+
+	// budgetSlack pads a draw budget for the stdlib distributions that
 	// consume a variable number of raw words (the ziggurat normal and
 	// exponential reject ~2–3% of candidates): entries = budget +
-	// budget/8 + 16. Exceeding the padded tape is still correct — the
-	// source spills to a full window — just slower.
-	tapeSlackShift = 3
-	tapeSlackMin   = 16
+	// budget/8 + 16. A stream whose padded budget is under alfgLen
+	// runs in direct mode.
+	budgetSlackShift = 3
+	budgetSlackMin   = 16
 )
 
 // alfgCooked is rand.NewSource's seeding constant vector — the
@@ -66,10 +80,15 @@ const (
 // forward-substitute back into the fresh seed-1 vector, and stripping
 // the (reimplemented) seeding LCG's contribution leaves the cooked
 // words. This keeps the port honest: if the recovered table or the
-// seeding loop were wrong in any bit, the startup self-check and the
-// golden cross-check tests would fail immediately.
+// seeding arithmetic were wrong in any bit, the startup self-check and
+// the golden cross-check tests would fail immediately.
+//
+// alfgPow is the jump table: alfgPow[i][c] = 48271^(21+3i+c) mod
+// (2^31−1), the multipliers of window word i, built from alfgSeedrand,
+// which stays the reference arithmetic.
 var (
 	alfgCooked   [alfgLen]uint64
+	alfgPow      [alfgLen][3]uint64
 	alfgInitOnce sync.Once
 )
 
@@ -83,17 +102,20 @@ func alfgSeedrand(x int32) int32 {
 	return x
 }
 
-// alfgSeedVec seeds a 607-word window exactly as rngSource.Seed does,
-// returning the initial tap/feed phases.
-func alfgSeedVec(vec []uint64, seed int64) (tap, feed int32) {
-	alfgInit()
-	return alfgSeedVecCooked(vec, seed)
+// alfgMulMod returns a·b mod (2^31−1) for a, b < 2^31: the product is
+// under 2^62, and 2^31 ≡ 1 folds its high bits onto its low bits.
+func alfgMulMod(a, b uint64) uint64 {
+	p := a * b
+	r := p&alfgSeedM + p>>31
+	if r >= alfgSeedM {
+		r -= alfgSeedM
+	}
+	return r
 }
 
-// alfgSeedVecCooked is the seeding loop proper; it assumes alfgCooked
-// is already recovered (callers go through alfgSeedVec, except the
-// recovery self-check, which runs inside the init once).
-func alfgSeedVecCooked(vec []uint64, seed int64) (tap, feed int32) {
+// alfgX0 reduces a seed to the LCG's starting state exactly as
+// rngSource.Seed does.
+func alfgX0(seed int64) uint64 {
 	s := seed % alfgSeedM
 	if s < 0 {
 		s += alfgSeedM
@@ -101,49 +123,54 @@ func alfgSeedVecCooked(vec []uint64, seed int64) (tap, feed int32) {
 	if s == 0 {
 		s = 89482311
 	}
-	x := int32(s)
-	for i := -20; i < alfgLen; i++ {
-		x = alfgSeedrand(x)
-		if i >= 0 {
-			u := uint64(x) << 40
-			x = alfgSeedrand(x)
-			u ^= uint64(x) << 20
-			x = alfgSeedrand(x)
-			u ^= uint64(x)
-			u ^= alfgCooked[i]
-			vec[i] = u
+	return uint64(s)
+}
+
+// alfgWord returns word i of the window seeded from x0.
+func alfgWord(x0 uint64, i int32) uint64 {
+	p := &alfgPow[i]
+	return alfgMulMod(p[0], x0)<<40 ^ alfgMulMod(p[1], x0)<<20 ^ alfgMulMod(p[2], x0) ^ alfgCooked[i]
+}
+
+// alfgDirect returns output k < alfgLen of a freshly seeded generator
+// (see direct mode in the file comment).
+func alfgDirect(x0 uint64, k int32) uint64 {
+	var x uint64
+	for ; k >= alfgTap; k -= alfgTap {
+		f := alfgLen - alfgTap - 1 - k
+		if f < 0 {
+			f += alfgLen
 		}
+		x += alfgWord(x0, f)
+	}
+	return x + alfgWord(x0, alfgLen-alfgTap-1-k) + alfgWord(x0, alfgLen-1-k)
+}
+
+// alfgSeedVec seeds a 607-word window from x0 exactly as
+// rngSource.Seed does, via the jump table, returning the initial
+// tap/feed phases. It assumes alfgInit has run: alfgSource.init runs
+// it, and the recovery self-check calls this from inside it.
+func alfgSeedVec(vec []uint64, x0 uint64) (tap, feed int32) {
+	// alfgWord, inlined by hand: it is too large for the compiler to
+	// inline, and the call costs a third of the window's seeding time.
+	vec = vec[:alfgLen]
+	for i := range alfgPow {
+		p := &alfgPow[i]
+		vec[i] = alfgMulMod(p[0], x0)<<40 ^ alfgMulMod(p[1], x0)<<20 ^ alfgMulMod(p[2], x0) ^ alfgCooked[i]
 	}
 	return 0, alfgLen - alfgTap
-}
-
-// alfgSeedLCG writes the pre-cooked LCG contribution for a seed into
-// out — the seeding loop minus the cooked XOR.
-func alfgSeedLCG(out []uint64, seed int64) {
-	s := seed % alfgSeedM
-	if s < 0 {
-		s += alfgSeedM
-	}
-	if s == 0 {
-		s = 89482311
-	}
-	x := int32(s)
-	for i := -20; i < alfgLen; i++ {
-		x = alfgSeedrand(x)
-		if i >= 0 {
-			u := uint64(x) << 40
-			x = alfgSeedrand(x)
-			u ^= uint64(x) << 20
-			x = alfgSeedrand(x)
-			u ^= uint64(x)
-			out[i] = u
-		}
-	}
 }
 
 func alfgInit() { alfgInitOnce.Do(alfgRecoverCooked) }
 
 func alfgRecoverCooked() {
+	x := int32(1)
+	for s := 1; s < alfgSeedSkip+3*alfgLen; s++ {
+		x = alfgSeedrand(x)
+		if j := s - alfgSeedSkip; j >= 0 {
+			alfgPow[j/3][j%3] = uint64(x)
+		}
+	}
 	src := rand.NewSource(1).(rand.Source64)
 	var outs [alfgLen]uint64
 	for i := range outs {
@@ -162,18 +189,19 @@ func alfgRecoverCooked() {
 	for k := 0; k < 273; k++ {
 		v[333-k] = outs[k] - v[606-k]
 	}
-	// v[i] = lcg_i XOR cooked[i]; strip the seed-1 LCG part.
-	var lcg [alfgLen]uint64
-	alfgSeedLCG(lcg[:], 1)
+	// v[i] = lcg_i XOR cooked[i]; strip the seed-1 LCG part, which is
+	// alfgWord's value while alfgCooked[i] is still zero.
 	for i := range v {
-		alfgCooked[i] = v[i] ^ lcg[i]
+		alfgCooked[i] = v[i] ^ alfgWord(1, int32(i))
 	}
 	// Self-check on an unrelated seed: any recovery or porting error
 	// surfaces here at startup rather than as silent sequence drift.
 	// 700 draws crosses the point (draw 273) where the recurrence first
-	// consumes a slot recovered by back-substitution through a rewrite.
+	// consumes a slot recovered by back-substitution through a rewrite,
+	// and checks direct mode over its whole range.
 	var check [alfgLen]uint64
-	tap, feed := alfgSeedVecCooked(check[:], 0x5eed5eed)
+	x0 := alfgX0(0x5eed5eed)
+	tap, feed := alfgSeedVec(check[:], x0)
 	ref := rand.NewSource(0x5eed5eed).(rand.Source64)
 	for i := 0; i < 700; i++ {
 		tap--
@@ -186,95 +214,49 @@ func alfgRecoverCooked() {
 		}
 		x := check[feed] + check[tap]
 		check[feed] = x
-		if x != ref.Uint64() {
+		if x != ref.Uint64() || i < alfgLen && x != alfgDirect(x0, int32(i)) {
 			panic(fmt.Sprintf("sim: alfg cooked-table recovery diverged from math/rand at draw %d", i))
 		}
 	}
 }
 
-// alfgSource is a lazily seeded rand.Source64 with arena-resident
-// state. It is single-goroutine, like every generator. The zero value
-// is not usable; initialize with init.
+// alfgSource is a rand.Source64 whose state is either a direct-mode
+// draw cursor or a lazily seeded arena-resident window. It is
+// single-goroutine, like every generator. The zero value is not
+// usable; initialize with init.
 type alfgSource struct {
-	state []uint64 // nil until first draw; len alfgLen = window, shorter = tape
+	state []uint64 // the window; nil until seeded
 	arena *Arena   // nil = standalone (self-allocating)
-	seed  int64
-	// pos is the feed index in window mode and the cursor in tape mode.
+	x0    uint64   // the seed, reduced by alfgX0
+	// pos is the feed index in window mode and the draw count in
+	// direct mode.
 	pos    int32
 	tap    int32 // window mode only
-	budget int32 // requested draw budget; 0 = unbounded
-	isVec  bool
+	direct bool  // small budget: draw directly until alfgLen draws
 }
 
 func (s *alfgSource) init(seed int64, arena *Arena, budget int) {
-	if budget < 0 || budget > 1<<30 {
-		budget = 0
-	}
-	*s = alfgSource{seed: seed, arena: arena, budget: int32(budget)}
+	alfgInit()
+	*s = alfgSource{x0: alfgX0(seed), arena: arena, direct: directBudget(budget)}
 }
 
-func (s *alfgSource) alloc(n int) []uint64 {
+// directBudget reports whether a draw budget (padded for variable-draw
+// distributions) fits in direct mode; 0 means unbounded. The first
+// upper bound keeps the padding arithmetic from overflowing.
+func directBudget(budget int) bool {
+	return budget > 0 && budget < alfgLen && budget+budget>>budgetSlackShift+budgetSlackMin < alfgLen
+}
+
+// seedWindow allocates and seeds the window, then replays the first
+// replay draws (those a spilling direct stream already returned).
+func (s *alfgSource) seedWindow(replay int32) {
 	if s.arena != nil {
-		return s.arena.alloc(n)
+		s.state = s.arena.alloc(alfgLen)
+	} else {
+		s.state = make([]uint64, alfgLen)
 	}
-	return make([]uint64, n)
-}
-
-// tapeEntries returns the padded tape length for a budget, or 0 when a
-// full window is the smaller (or only safe) representation.
-func tapeEntries(budget int32) int {
-	if budget <= 0 {
-		return 0
-	}
-	n := int(budget) + int(budget)>>tapeSlackShift + tapeSlackMin
-	if n >= alfgLen {
-		return 0
-	}
-	return n
-}
-
-// materialize runs the seeding loop on first draw, into either a tape
-// or a full window.
-func (s *alfgSource) materialize() {
-	if n := tapeEntries(s.budget); n > 0 {
-		var scratch [alfgLen]uint64
-		tap, feed := alfgSeedVec(scratch[:], s.seed)
-		tape := s.alloc(n)
-		for i := range tape {
-			tap--
-			if tap < 0 {
-				tap += alfgLen
-			}
-			feed--
-			if feed < 0 {
-				feed += alfgLen
-			}
-			x := scratch[feed] + scratch[tap]
-			scratch[feed] = x
-			tape[i] = x
-		}
-		s.state, s.pos = tape, 0
-		if s.arena != nil {
-			s.arena.noteSeed(false)
-		}
-		return
-	}
-	s.state = s.alloc(alfgLen)
-	s.tap, s.pos = alfgSeedVec(s.state, s.seed)
-	s.isVec = true
-	if s.arena != nil {
-		s.arena.noteSeed(true)
-	}
-}
-
-// spill upgrades an exhausted tape to a full window: reseed, replay
-// the consumed prefix, continue. Correct for any budget misestimate;
-// the arena counts spills so benchmarks can prove they stay rare.
-func (s *alfgSource) spill() {
-	consumed := int32(len(s.state))
-	vec := s.alloc(alfgLen)
-	tap, feed := alfgSeedVec(vec, s.seed)
-	for i := int32(0); i < consumed; i++ {
+	tap, feed := alfgSeedVec(s.state, s.x0)
+	for ; replay > 0; replay-- {
 		tap--
 		if tap < 0 {
 			tap += alfgLen
@@ -283,18 +265,15 @@ func (s *alfgSource) spill() {
 		if feed < 0 {
 			feed += alfgLen
 		}
-		vec[feed] += vec[tap]
+		s.state[feed] += s.state[tap]
 	}
-	s.state, s.tap, s.pos, s.isVec = vec, tap, feed, true
-	if s.arena != nil {
-		s.arena.noteSpill()
-	}
+	s.tap, s.pos = tap, feed
 }
 
 // Uint64 returns the next raw generator word — bit-identical to
 // rand.NewSource(seed)'s word stream at the same position.
 func (s *alfgSource) Uint64() uint64 {
-	if s.isVec {
+	if s.state != nil {
 		tap, feed := s.tap-1, s.pos-1
 		if tap < 0 {
 			tap += alfgLen
@@ -307,15 +286,24 @@ func (s *alfgSource) Uint64() uint64 {
 		s.tap, s.pos = tap, feed
 		return x
 	}
-	if int(s.pos) < len(s.state) {
-		x := s.state[s.pos]
+	if !s.direct {
+		s.seedWindow(0)
+		if s.arena != nil {
+			s.arena.noteSeed(true)
+		}
+		return s.Uint64()
+	}
+	if s.pos < alfgLen {
+		if s.pos == 0 && s.arena != nil {
+			s.arena.noteSeed(false)
+		}
+		x := alfgDirect(s.x0, s.pos)
 		s.pos++
 		return x
 	}
-	if s.state == nil {
-		s.materialize()
-	} else {
-		s.spill()
+	s.seedWindow(alfgLen)
+	if s.arena != nil {
+		s.arena.noteSpill()
 	}
 	return s.Uint64()
 }
@@ -324,10 +312,10 @@ func (s *alfgSource) Uint64() uint64 {
 func (s *alfgSource) Int63() int64 { return int64(s.Uint64() & alfgMask) }
 
 // Seed implements rand.Source: the source restarts from the new seed,
-// dropping any materialized state (it reseeds lazily on next draw).
-// Arena storage of the previous state is not reclaimed.
+// dropping any window (a window stream reseeds lazily on next draw).
+// Arena storage of the previous window is not reclaimed.
 func (s *alfgSource) Seed(seed int64) {
-	s.seed, s.state, s.isVec, s.pos, s.tap = seed, nil, false, 0, 0
+	s.x0, s.state, s.pos, s.tap = alfgX0(seed), nil, 0, 0
 }
 
 // boxedRNG packs an RNG, its rand.Rand and its source into one

@@ -103,12 +103,12 @@ func compareRNGs(t *testing.T, name string, a, b *RNG, steps int) {
 // TestArenaStreamMatchesEagerStream is the distribution-level golden
 // cross-check: for every cross seed, an arena-backed lazily seeded
 // stream must match the eager stdlib stream of the same (seed, name)
-// over every RNG method — unbudgeted (window), small-budgeted (tape),
-// and a deliberately undersized budget that forces a spill across the
-// comparison horizon (the lazy-seed and tape-exhaustion boundaries are
-// exactly where a porting bug would strike).
+// over every RNG method — unbudgeted (window), large-budgeted (window)
+// and small-budgeted (direct mode, which spills to a window at draw
+// 607, inside the comparison horizon: the lazy-seed and spill
+// boundaries are exactly where a porting bug would strike).
 func TestArenaStreamMatchesEagerStream(t *testing.T) {
-	const steps = 4000 // ~8k draws: far past any tape and several window wraps
+	const steps = 4000 // ~8k draws: far past the spill and several window wraps
 	for _, seed := range crossSeeds {
 		eager := NewStreams(seed)
 		for _, tc := range []struct {
@@ -116,17 +116,17 @@ func TestArenaStreamMatchesEagerStream(t *testing.T) {
 			budget int
 		}{
 			{"window", 0},
-			{"tape-roomy", 5000}, // ≥ alfgLen entries: window representation
-			{"tape-exact", 520},  // fits in one tape
-			{"tape-spill", 40},   // exhausts after ~46 padded entries
-			{"tape-one", 1},      // minimum tape, immediate spill
+			{"window-budget", 5000}, // padded ≥ alfgLen: window representation
+			{"direct-max", 520},     // largest budgets still run direct
+			{"direct", 40},
+			{"direct-one", 1}, // minimum budget
 		} {
 			arena := NewArena()
 			as := arena.Streams(seed)
 			compareRNGs(t, tc.name,
 				as.StreamBudget("cross."+tc.name, tc.budget),
 				eager.Stream("cross."+tc.name), steps)
-			if tc.budget > 0 && tc.budget < 500 {
+			if directBudget(tc.budget) {
 				if sp := arena.Stats().Spills; sp != 1 {
 					t.Fatalf("%s seed %d: expected exactly one spill, got %d", tc.name, seed, sp)
 				}
@@ -152,7 +152,7 @@ func TestArenaStreamLazySeedBoundary(t *testing.T) {
 	if arena.Stats().Seeded != 1 {
 		t.Fatalf("stream b seeded before first draw: %+v", arena.Stats())
 	}
-	for i := 0; i < 200; i++ { // crosses b's 64+8+16 tape boundary
+	for i := 0; i < 700; i++ { // crosses b's spill at raw draw 607
 		if got, want := b.Norm(), eb.Norm(); got != want {
 			t.Fatalf("stream b draw %d: %v != %v", i, got, want)
 		}
@@ -160,38 +160,43 @@ func TestArenaStreamLazySeedBoundary(t *testing.T) {
 }
 
 // TestALFGSeedReset pins Seed(): restarting a source from a new seed
-// matches a fresh stdlib source.
+// matches a fresh stdlib source, for a window source and for a direct
+// source mid-sequence (past the 273-draw recursion step) and after it
+// spilled to a window.
 func TestALFGSeedReset(t *testing.T) {
-	var src alfgSource
-	src.init(5, nil, 0)
-	for i := 0; i < 100; i++ {
-		src.Uint64()
-	}
-	src.Seed(77)
-	ref := rand.NewSource(77).(rand.Source64)
-	for i := 0; i < 700; i++ {
-		if got, want := src.Uint64(), ref.Uint64(); got != want {
-			t.Fatalf("post-Seed draw %d: %#x != %#x", i, got, want)
+	for _, tc := range []struct{ budget, before int }{{0, 100}, {100, 300}, {100, 650}} {
+		var src alfgSource
+		src.init(5, nil, tc.budget)
+		for i := 0; i < tc.before; i++ {
+			src.Uint64()
+		}
+		src.Seed(77)
+		ref := rand.NewSource(77).(rand.Source64)
+		for i := 0; i < 700; i++ {
+			if got, want := src.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("budget %d, Seed after %d draws: draw %d: %#x != %#x", tc.budget, tc.before, i, got, want)
+			}
 		}
 	}
 }
 
 // TestArenaAccounting checks the stats the rembench per-UE stat is
-// built on: streams/seeded/tape/vec counts and live bytes.
+// built on: streams/seeded/direct/vec counts and live bytes. A direct
+// stream that has drawn holds no arena words, so only the window counts.
 func TestArenaAccounting(t *testing.T) {
 	arena := NewArena()
 	as := arena.Streams(3)
 	cold := as.Stream("cold")
 	_ = cold
-	tape := as.StreamBudget("tape", 100)
+	direct := as.StreamBudget("direct", 100)
 	vec := as.Stream("vec")
-	tape.Float64()
+	direct.Float64()
 	vec.Float64()
 	st := arena.Stats()
 	if st.Streams != 3 || st.Seeded != 2 || st.Tapes != 1 || st.Vecs != 1 || st.Spills != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	wantLive := int64((100+100/8+16)+alfgLen) * 8
+	wantLive := int64(alfgLen) * 8
 	if st.LiveBytes != wantLive {
 		t.Fatalf("LiveBytes = %d, want %d", st.LiveBytes, wantLive)
 	}
@@ -215,9 +220,9 @@ func TestArenaConcurrentDerivation(t *testing.T) {
 		go func(w int) {
 			for s := 0; s < streamsPer; s++ {
 				name := "race." + string(rune('a'+w)) + "." + string(rune('a'+s))
-				g := as.StreamBudget(name, 20) // tiny budget: most spill
+				g := as.StreamBudget(name, 20) // direct; spills at draw 607
 				e := eager.Stream(name)
-				for i := 0; i < 500; i++ {
+				for i := 0; i < 700; i++ {
 					if got, want := g.Float64(), e.Float64(); got != want {
 						errc <- fmt.Errorf("worker %d stream %q draw %d: %v != %v", w, name, i, got, want)
 						return
@@ -235,6 +240,67 @@ func TestArenaConcurrentDerivation(t *testing.T) {
 	st := arena.Stats()
 	if st.Streams != workers*streamsPer || st.Seeded != st.Streams {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestALFGJumpTable pins every jump-table entry against the serial
+// Schrage chain of the stdlib's seeding LCG.
+func TestALFGJumpTable(t *testing.T) {
+	alfgInit()
+	x := int32(1)
+	for s := 1; s < alfgSeedSkip; s++ {
+		x = alfgSeedrand(x)
+	}
+	for i := range alfgPow {
+		for c, p := range alfgPow[i] {
+			x = alfgSeedrand(x)
+			if p != uint64(x) {
+				t.Fatalf("alfgPow[%d][%d] = %d, Schrage chain %d", i, c, p, x)
+			}
+		}
+	}
+}
+
+// TestALFGMulMod pins the Mersenne-prime reduction against the
+// stdlib's Schrage step at the edges of its decomposition (q = 44488)
+// and of the modulus, and on random inputs.
+func TestALFGMulMod(t *testing.T) {
+	xs := []int32{1, 2, alfgSeedQ - 1, alfgSeedQ, alfgSeedQ + 1, alfgSeedM - 2, alfgSeedM - 1}
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 100_000; i++ {
+		xs = append(xs, 1+r.Int31n(alfgSeedM-1))
+	}
+	for _, x := range xs {
+		if got, want := alfgMulMod(alfgSeedA, uint64(x)), uint64(alfgSeedrand(x)); got != want {
+			t.Fatalf("alfgMulMod(48271, %d) = %d, Schrage %d", x, got, want)
+		}
+	}
+}
+
+// TestArenaDirectStreamBoundaries runs every draw budget up to 606 on
+// every cross seed against rand.NewSource over 1,300 raw draws: that
+// crosses direct mode's recursion steps at draws 273 and 546, the
+// spill at draw 607 and the direct/window budget crossover.
+func TestArenaDirectStreamBoundaries(t *testing.T) {
+	for _, seed := range crossSeeds {
+		arena := NewArena()
+		as := arena.Streams(seed)
+		direct := 0
+		for budget := 1; budget < alfgLen; budget++ {
+			g := as.StreamBudget("direct", budget)
+			ref := rand.New(rand.NewSource(seed ^ int64(fnv64a("direct"))))
+			for i := 0; i < 1300; i++ {
+				if got, want := g.r.Uint64(), ref.Uint64(); got != want {
+					t.Fatalf("seed %d budget %d: draw %d = %#x, stdlib %#x", seed, budget, i, got, want)
+				}
+			}
+			if directBudget(budget) {
+				direct++
+			}
+		}
+		if st := arena.Stats(); st.Spills != direct || st.Vecs != alfgLen-1 {
+			t.Fatalf("seed %d: %d direct budgets, stats %+v", seed, direct, st)
+		}
 	}
 }
 
@@ -262,6 +328,29 @@ func TestStreamDerivationZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fnv64a allocates %v per run, want 0", allocs)
+	}
+}
+
+// BenchmarkALFGDirectStream is the lifetime of a direct stream at the
+// shadowing budget of a 2-s fleet run (200 ticks + 6): derive, then
+// draw 206 words.
+func BenchmarkALFGDirectStream(b *testing.B) {
+	var src alfgSource
+	for i := 0; i < b.N; i++ {
+		src.init(int64(i), nil, 206)
+		for k := 0; k < 206; k++ {
+			src.Uint64()
+		}
+	}
+}
+
+// BenchmarkALFGWindowFirstDraw is a window stream's first draw:
+// allocate and seed 607 words, then draw one.
+func BenchmarkALFGWindowFirstDraw(b *testing.B) {
+	var src alfgSource
+	for i := 0; i < b.N; i++ {
+		src.init(int64(i), nil, 0)
+		src.Uint64()
 	}
 }
 

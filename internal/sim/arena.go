@@ -2,8 +2,8 @@ package sim
 
 import "sync"
 
-// Arena is a grow-only allocator for RNG state: generator windows and
-// tapes of many streams packed into large contiguous chunks, so a
+// Arena is a grow-only allocator for RNG state: the generator windows
+// of many streams packed into large contiguous chunks, so a
 // fleet epoch streams its generator state roughly in stepping order
 // instead of pointer-chasing one ~5 KB heap object per stream. Nothing
 // is ever freed; an arena lives exactly as long as the fleet it backs.
@@ -29,16 +29,18 @@ const arenaChunkWords = 64 << 10
 // bytes-of-RNG-state-per-UE benchmark stat.
 type ArenaStats struct {
 	// Streams counts RNGs derived from the arena; Seeded those that
-	// have drawn at least once and so hold state (Tapes + Vecs = Seeded).
+	// have drawn at least once (Tapes + Vecs = Seeded). Tapes counts
+	// the direct-mode streams among them, which hold no arena words;
+	// Vecs those holding a 607-word window.
 	Streams int
 	Seeded  int
 	Tapes   int
 	Vecs    int
-	// Spills counts tapes that exhausted their budget and upgraded to
-	// full windows. A healthy budget schedule keeps this at (or near)
-	// zero; each spill costs one reseed + replay.
+	// Spills counts direct streams that passed 607 draws and upgraded
+	// to full windows. A healthy budget schedule keeps this at (or
+	// near) zero; each spill costs one reseed + replay.
 	Spills int
-	// LiveBytes is the state actually allocated to streams;
+	// LiveBytes is the window state actually allocated to streams;
 	// ReservedBytes adds unused chunk tails.
 	LiveBytes     int64
 	ReservedBytes int64
@@ -127,10 +129,11 @@ func (s *ArenaStreams) Stream(name string) *RNG { return s.StreamBudget(name, 0)
 
 // StreamBudget returns the stream with a draw-budget hint: the
 // expected upper bound on raw 64-bit draws the caller will make. Small
-// budgets (< ~600) materialize as output tapes of that length instead
-// of full generator windows; 0 means unbounded. The hint never affects
-// draw values — an exceeded budget transparently upgrades to a full
-// window — only resident bytes and refill cost.
+// budgets (padded, under 607) run in direct mode, computing each draw
+// from the seed with no window at all; 0 means unbounded. The hint
+// never affects draw values — a direct stream that reaches 607 draws
+// transparently upgrades to a full window — only resident bytes and
+// per-draw cost.
 func (s *ArenaStreams) StreamBudget(name string, budget int) *RNG {
 	s.arena.noteStream()
 	return newAlfgRNG(s.seed^int64(fnv64a(name)), s.arena, budget)

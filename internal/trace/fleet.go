@@ -116,10 +116,11 @@ func (s *Shared) BuildUE(ue int) (*Built, error) {
 
 // BuildUEIn is BuildUE with the UE's generator state placed in the
 // fleet's arena: streams seed lazily on first draw, and small-budget
-// streams (shadowing, measurement, link) materialize as short output
-// tapes instead of full 607-word windows. Draw sequences — and so
-// every fleet result — are byte-identical to BuildUE's; only state
-// placement, residency and seeding time change. Safe to call
+// streams (the UE stream, shadowing in short runs) run in direct mode,
+// computing each draw from the seed instead of holding a 607-word
+// window. Draw sequences — and so every fleet result — are
+// byte-identical to BuildUE's; only state placement, residency and
+// seeding time change. Safe to call
 // concurrently for different UEs (the arena allocator is
 // mutex-guarded; placement order never affects values).
 func (s *Shared) BuildUEIn(arena *sim.Arena, ue int) (*Built, error) {
@@ -152,9 +153,10 @@ func (s *Shared) buildUE(streams sim.StreamSource, ue int) (*Built, error) {
 	// its own error model, exactly as in the single-run Build.
 	radioCfg := s.RadioCfg
 	radioCfg.SpeedMS = speed
-	// Shadowing advances once per tick (one Gauss each); budget a tape
-	// accordingly so the fleet's many per-site/per-cell shadow streams
-	// stay a few hundred bytes each instead of 4.9 KB windows.
+	// Shadowing advances once per tick (one Gauss each); budget it
+	// accordingly so, in short runs, the fleet's many per-site/per-cell
+	// shadow streams run in direct mode and hold no window at all
+	// instead of 4.9 KB each.
 	radioCfg.ShadowDrawBudget = ticks + 4
 	measCfg := s.MeasCfg
 	if !s.OTFS {
