@@ -65,6 +65,11 @@ func (s *Shadowing) At(d float64) float64 {
 	return s.lastDB
 }
 
+// Prefetch hints that about n more advances are coming (one normal
+// draw each) and returns the fold of the loaded words, which the
+// caller must keep; see sim.RNG.Prefetch. It never changes the process.
+func (s *Shadowing) Prefetch(n int) uint64 { return s.rng.Prefetch(n) }
+
 func (s *Shadowing) memoFind(delta float64) int {
 	n := s.memoN
 	if n > len(s.memo) {

@@ -103,7 +103,7 @@ func TestCellDownWindows(t *testing.T) {
 		want bool
 	}{
 		{4, 9.99, false}, {4, 10, true}, {4, 19.99, true}, {4, 20, false},
-		{5, 15, false}, // other cell unaffected
+		{5, 15, false},                               // other cell unaffected
 		{4, 32, true}, {5, 32, true}, {99, 32, true}, // blackout hits everyone
 	}
 	for _, tc := range cases {

@@ -279,6 +279,10 @@ type Runner struct {
 
 	i, steps, traceEvery int
 	finished             bool
+
+	// prefetched keeps the fold StepTo's radio prefetch returns, so the
+	// compiler cannot drop its loads as dead. Its value means nothing.
+	prefetched uint64
 }
 
 // NewRunner validates the scenario, performs the initial attach and
@@ -801,6 +805,11 @@ func survivesCorruption(inj *fault.Injector, msg rrcEncoder) bool {
 // StepTo processes every tick with simulated time <= t (and within the
 // scenario duration). It is a no-op when t is behind the clock.
 func (r *Runner) StepTo(t float64) {
+	// Warm the radio's generator state for the ticks about to run. The
+	// count is only a hint; the loop below decides which ticks run.
+	if n := min(float64(r.steps), t/r.cfg.TickSec+1) - float64(r.i); n >= 1 {
+		r.prefetched += r.sc.Env.Prefetch(int(n))
+	}
 	for r.i < r.steps {
 		tt := float64(r.i) * r.cfg.TickSec
 		if tt > t {

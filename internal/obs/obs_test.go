@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -153,6 +155,80 @@ func TestDrainMergeOrder(t *testing.T) {
 	}
 	if evs[1].Kind != EvRLF || evs[2].Kind != EvBlackoutOpen {
 		t.Fatal("same-T same-UE events lost their Seq order")
+	}
+}
+
+// stableSortEvents is the reference order: the reflection-based stable
+// sort SortEvents used before it switched to an unstable typed sort.
+func stableSortEvents(evs []Event) {
+	sort.SliceStable(evs, func(a, b int) bool {
+		if evs[a].T != evs[b].T {
+			return evs[a].T < evs[b].T
+		}
+		if evs[a].UE != evs[b].UE {
+			return evs[a].UE < evs[b].UE
+		}
+		return evs[a].Seq < evs[b].Seq
+	})
+}
+
+// drainLikeBatch builds what a drain sorts: per-UE streams, each in
+// time order with dense Seq, concatenated in ascending UE order. Times
+// sit on a coarse grid so many events tie on T across UEs (and within
+// a UE), which is where only the UE and Seq tie-breaks decide.
+func drainLikeBatch(r *rand.Rand) []Event {
+	var evs []Event
+	for ue := -1; ue < r.Intn(40); ue++ {
+		tt, seq := float64(r.Intn(3)), r.Intn(5)
+		for k := r.Intn(12); k > 0; k-- {
+			tt += 0.25 * float64(r.Intn(2))
+			evs = append(evs, Event{UE: ue, Seq: seq, T: tt, Kind: EvMeasTrigger, Value: r.Float64()})
+			seq++
+		}
+	}
+	return evs
+}
+
+// TestSortEventsMatchesStableSort checks the unstable sort against the
+// stable reference on random drain-shaped batches, shuffled and not:
+// with unique (T, UE, Seq) keys both must give the same order.
+func TestSortEventsMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		evs := drainLikeBatch(r)
+		if trial%2 == 1 {
+			r.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
+		}
+		want := append([]Event(nil), evs...)
+		stableSortEvents(want)
+		SortEvents(evs)
+		if !reflect.DeepEqual(evs, want) {
+			t.Fatalf("trial %d: order differs from the stable sort:\n got %+v\nwant %+v", trial, evs, want)
+		}
+	}
+	evs := drainLikeBatch(r)
+	buf := make([]Event, len(evs))
+	if allocs := testing.AllocsPerRun(20, func() { copy(buf, evs); SortEvents(buf) }); allocs != 0 {
+		t.Fatalf("SortEvents allocates %v times per call", allocs)
+	}
+}
+
+// BenchmarkSortEvents sorts a 1,000-UE drain of 8 events per UE.
+func BenchmarkSortEvents(b *testing.B) {
+	var src []Event
+	r := rand.New(rand.NewSource(1))
+	for ue := 0; ue < 1000; ue++ {
+		tt := 10.0
+		for seq := 0; seq < 8; seq++ {
+			tt += 0.01 * float64(r.Intn(3))
+			src = append(src, Event{UE: ue, Seq: seq, T: tt, Kind: EvRLF})
+		}
+	}
+	buf := make([]Event, len(src))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, src)
+		SortEvents(buf)
 	}
 }
 

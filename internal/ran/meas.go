@@ -1,6 +1,8 @@
 package ran
 
 import (
+	"math"
+
 	"rem/internal/fault"
 	"rem/internal/obs"
 	"rem/internal/policy"
@@ -120,30 +122,45 @@ type MeasEngine struct {
 	// (slot 0 unused); tttSince tracks per (rule, cell) when each
 	// criterion became continuously true, at index
 	// ruleIdx*len(values)+cellID, with -1 meaning "not tracking".
-	values     []measValue
-	tttSince   []float64
-	gapsActive bool
-	gapsAt     float64 // when gaps become active (after reconfig RTT)
-	a2Since    float64
-	a2Armed    bool
+	values   []measValue
+	tttSince []float64
 
-	startAt    float64
+	gapsAt    float64 // when gaps become active (after reconfig RTT)
+	a2Since   float64
+	startAt   float64
+	lastIntra float64
+	lastGap   float64
+	gapRR     int // round-robin index over foreign channels
+	// The flags sit together so the struct packs into a smaller
+	// allocation size class.
+	gapsActive bool
+	a2Armed    bool
 	started    bool
-	lastIntra  float64
-	lastGap    float64
-	gapRR      int // round-robin index over foreign channels
 	firstTick  bool
 	foreignChs []int
 	allChs     []int    // every deployed channel, sorted (cached)
 	reports    []Report // reused by evaluate; valid until the next Tick
 
-	// ruleCands[ri] lists, in ascending dense-ID order, the non-serving
-	// cells that pass rule ri's TargetChannel filter. The deployment
-	// and serving cell are fixed between Resets, so evaluate can walk
-	// these short lists instead of re-filtering the full ID range per
-	// rule per tick. Backed by candBuf, reused across Resets.
-	ruleCands [][]int32
+	// ruleCands[ri] is what evaluate needs of rule ri every tick. The
+	// deployment, policy and serving cell are fixed between Resets, so
+	// Reset precomputes it. Its ids are backed by candBuf, reused
+	// across Resets.
+	ruleCands []ruleCands
 	candBuf   []int32
+}
+
+// ruleCands is one rule's precomputed candidate scan.
+type ruleCands struct {
+	// ids lists, in ascending dense-ID order, the non-serving cells
+	// that pass the rule's TargetChannel filter, so evaluate walks this
+	// short list instead of re-filtering the full ID range.
+	ids []int32
+	// a3Floor is the smallest effective offset (Policy.A3OffsetFor)
+	// over an A3 rule's ids. Float addition rounds monotonically, so a
+	// neighbor that misses serv+a3Floor+hyst misses its own
+	// serv+offset+hyst too: evaluate reads the pair-offset map only for
+	// the few candidates that clear the floor.
+	a3Floor float64
 }
 
 // NewMeasEngine builds the engine for a serving cell and its policy.
@@ -218,11 +235,12 @@ func (e *MeasEngine) Reset(pol *policy.Policy, servingCell int) {
 	}
 	e.candBuf = e.candBuf[:0]
 	if cap(e.ruleCands) < len(pol.Rules) {
-		e.ruleCands = make([][]int32, len(pol.Rules))
+		e.ruleCands = make([]ruleCands, len(pol.Rules))
 	}
 	e.ruleCands = e.ruleCands[:len(pol.Rules)]
 	for ri, r := range pol.Rules {
 		start := len(e.candBuf)
+		floor := math.Inf(1)
 		if r.IsHandoverRule() {
 			for id := 1; id < stride; id++ {
 				if id == servingCell {
@@ -232,9 +250,12 @@ func (e *MeasEngine) Reset(pol *policy.Policy, servingCell int) {
 					continue
 				}
 				e.candBuf = append(e.candBuf, int32(id))
+				if r.Type == policy.A3 {
+					floor = min(floor, pol.A3OffsetFor(r, id))
+				}
 			}
 		}
-		e.ruleCands[ri] = e.candBuf[start:len(e.candBuf):len(e.candBuf)]
+		e.ruleCands[ri] = ruleCands{ids: e.candBuf[start:len(e.candBuf):len(e.candBuf)], a3Floor: floor}
 	}
 }
 
@@ -456,7 +477,8 @@ func (e *MeasEngine) evaluate(t float64) []Report {
 			continue
 		}
 		ttt := e.tttSince[ri*stride : (ri+1)*stride]
-		for _, cid := range e.ruleCands[ri] {
+		floor := e.ruleCands[ri].a3Floor
+		for _, cid := range e.ruleCands[ri].ids {
 			id := int(cid)
 			v := e.values[id]
 			if !v.valid {
@@ -464,6 +486,10 @@ func (e *MeasEngine) evaluate(t float64) []Report {
 			}
 			eff := r
 			if r.Type == policy.A3 {
+				if !(v.metric > serv.metric+floor+r.HystDB) {
+					ttt[id] = -1 // fails at every offset >= floor
+					continue
+				}
 				eff.OffsetDB = e.Policy.A3OffsetFor(r, id)
 			}
 			if eff.Satisfied(serv.metric, v.metric) {

@@ -338,6 +338,29 @@ func itoa(v int) string {
 	return string(b[i:])
 }
 
+// Prefetch hints that about ticks more snapshots are coming: it
+// prefetches every shadowing process's generator state for that many
+// draws — each site's process once, then each cell's — and returns the
+// fold of the loaded words, which the caller must keep (see
+// sim.RNG.Prefetch). These processes draw once per tick each, and with
+// a few dozen of them per client their windows are cold by the next
+// epoch; prefetching them in one burst overlaps the misses. It never
+// changes a draw.
+func (e *RadioEnv) Prefetch(ticks int) uint64 {
+	var sum uint64
+	var last *chanmodel.Shadowing
+	for i := range e.cells {
+		if sh := e.cells[i].shadow; sh != last {
+			sum += sh.Prefetch(ticks)
+			last = sh
+		}
+	}
+	for i := range e.cells {
+		sum += e.cells[i].cellSh.Prefetch(ticks)
+	}
+	return sum
+}
+
 // fadeSample advances a cell's AR(1) Rayleigh fading process to time t
 // and returns the power gain (linear, mean 1).
 func (e *RadioEnv) fadeSample(st *cellRadioState, t float64) float64 {

@@ -313,6 +313,61 @@ func TestMeasEngineIntraA3TTT(t *testing.T) {
 	}
 }
 
+// TestMeasEnginePairOffsets pins A3 pair offsets through the per-rule
+// offset floor Reset precomputes: a pair override replaces the rule
+// offset for its target only (suppressing a trigger, or enabling one
+// the rule offset would not fire, and stamped on the report's rule),
+// and a Reset onto a policy without overrides drops it.
+func TestMeasEnginePairOffsets(t *testing.T) {
+	dep := testDeployment(t, 1.0)
+	serving := dep.Cells[0]
+	var intraNeighbor int
+	for _, c := range dep.Cells[1:] {
+		if c.Channel == serving.Channel {
+			intraNeighbor = c.ID
+			break
+		}
+	}
+	run := func(e *MeasEngine, t0 float64, snap *RadioSnap) []Report {
+		var reports []Report
+		for i := 0; i <= 40; i++ {
+			reports = append(reports, e.Tick(t0+float64(i)*0.02, snap)...)
+		}
+		return reports
+	}
+	strong := snapshotWhere(map[int]float64{serving.ID: -100, intraNeighbor: -95})
+	for _, tc := range []struct {
+		margin  float64 // neighbor above serving, dB
+		pair    map[int]float64
+		trigger bool
+		offset  float64
+	}{
+		{5, nil, true, 3},
+		{2, nil, false, 0},
+		{5, map[int]float64{intraNeighbor: 8}, false, 0},
+		{5, map[int]float64{intraNeighbor: -1}, true, -1},
+		{2, map[int]float64{intraNeighbor: -1}, true, -1},     // only the pair offset lets it fire
+		{5, map[int]float64{intraNeighbor + 100: 8}, true, 3}, // other target only
+	} {
+		pol := measPolicy(serving.ID, serving.Channel, 2452)
+		pol.PairOffsets = tc.pair
+		e := NewMeasEngine(sim.NewStreams(108).Stream("meas"), dep, pol, serving.ID, DefaultLegacyMeasConfig())
+		snap := snapshotWhere(map[int]float64{serving.ID: -100, intraNeighbor: -100 + tc.margin})
+		reports := run(e, 0, snap)
+		if got := len(reports) > 0; got != tc.trigger {
+			t.Fatalf("margin %g pair %v: triggered %v, want %v", tc.margin, tc.pair, got, tc.trigger)
+		}
+		if tc.trigger && reports[0].Rule.OffsetDB != tc.offset {
+			t.Fatalf("margin %g pair %v: report offset %g, want %g", tc.margin, tc.pair, reports[0].Rule.OffsetDB, tc.offset)
+		}
+		// Reset onto a plain policy: the rule's own offset applies again.
+		e.Reset(measPolicy(serving.ID, serving.Channel, 2452), serving.ID)
+		if reports := run(e, 1, strong); len(reports) == 0 || reports[0].Rule.OffsetDB != 3 {
+			t.Fatalf("margin %g pair %v: after Reset reports %+v, want offset 3", tc.margin, tc.pair, reports)
+		}
+	}
+}
+
 func TestMeasEngineMultiStageGatesInterFrequency(t *testing.T) {
 	dep := testDeployment(t, 1.0)
 	streams := sim.NewStreams(109)

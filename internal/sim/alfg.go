@@ -114,8 +114,8 @@ func alfgMulMod(a, b uint64) uint64 {
 }
 
 // alfgX0 reduces a seed to the LCG's starting state exactly as
-// rngSource.Seed does.
-func alfgX0(seed int64) uint64 {
+// rngSource.Seed does; the result is under 2^31−1.
+func alfgX0(seed int64) uint32 {
 	s := seed % alfgSeedM
 	if s < 0 {
 		s += alfgSeedM
@@ -123,18 +123,18 @@ func alfgX0(seed int64) uint64 {
 	if s == 0 {
 		s = 89482311
 	}
-	return uint64(s)
+	return uint32(s)
 }
 
 // alfgWord returns word i of the window seeded from x0.
-func alfgWord(x0 uint64, i int32) uint64 {
-	p := &alfgPow[i]
-	return alfgMulMod(p[0], x0)<<40 ^ alfgMulMod(p[1], x0)<<20 ^ alfgMulMod(p[2], x0) ^ alfgCooked[i]
+func alfgWord(x0 uint32, i int32) uint64 {
+	p, x := &alfgPow[i], uint64(x0)
+	return alfgMulMod(p[0], x)<<40 ^ alfgMulMod(p[1], x)<<20 ^ alfgMulMod(p[2], x) ^ alfgCooked[i]
 }
 
 // alfgDirect returns output k < alfgLen of a freshly seeded generator
 // (see direct mode in the file comment).
-func alfgDirect(x0 uint64, k int32) uint64 {
+func alfgDirect(x0 uint32, k int32) uint64 {
 	var x uint64
 	for ; k >= alfgTap; k -= alfgTap {
 		f := alfgLen - alfgTap - 1 - k
@@ -150,13 +150,14 @@ func alfgDirect(x0 uint64, k int32) uint64 {
 // rngSource.Seed does, via the jump table, returning the initial
 // tap/feed phases. It assumes alfgInit has run: alfgSource.init runs
 // it, and the recovery self-check calls this from inside it.
-func alfgSeedVec(vec []uint64, x0 uint64) (tap, feed int32) {
+func alfgSeedVec(vec []uint64, x0 uint32) (tap, feed int32) {
 	// alfgWord, inlined by hand: it is too large for the compiler to
 	// inline, and the call costs a third of the window's seeding time.
 	vec = vec[:alfgLen]
+	x := uint64(x0)
 	for i := range alfgPow {
 		p := &alfgPow[i]
-		vec[i] = alfgMulMod(p[0], x0)<<40 ^ alfgMulMod(p[1], x0)<<20 ^ alfgMulMod(p[2], x0) ^ alfgCooked[i]
+		vec[i] = alfgMulMod(p[0], x)<<40 ^ alfgMulMod(p[1], x)<<20 ^ alfgMulMod(p[2], x) ^ alfgCooked[i]
 	}
 	return 0, alfgLen - alfgTap
 }
@@ -223,11 +224,13 @@ func alfgRecoverCooked() {
 // alfgSource is a rand.Source64 whose state is either a direct-mode
 // draw cursor or a lazily seeded arena-resident window. It is
 // single-goroutine, like every generator. The zero value is not
-// usable; initialize with init.
+// usable; initialize with init. x0 is held in 32 bits so a boxedRNG,
+// which also carries the source pointer RNG.Prefetch reads, stays in
+// the 112-byte size class (TestBoxedRNGSize).
 type alfgSource struct {
 	state []uint64 // the window; nil until seeded
 	arena *Arena   // nil = standalone (self-allocating)
-	x0    uint64   // the seed, reduced by alfgX0
+	x0    uint32   // the seed, reduced by alfgX0
 	// pos is the feed index in window mode and the draw count in
 	// direct mode.
 	pos    int32
@@ -311,6 +314,44 @@ func (s *alfgSource) Uint64() uint64 {
 // Int63 implements rand.Source.
 func (s *alfgSource) Int63() int64 { return int64(s.Uint64() & alfgMask) }
 
+// cacheLineWords is the number of window words per 64-byte cache line.
+const cacheLineWords = 8
+
+// prefetch loads one word per cache line over the window slots the
+// next min(n, 607) draws read, feed side and tap side, and returns
+// their sum. The loads are independent, so their misses overlap
+// instead of stalling one draw each. It is a pure read: state, pos
+// and tap are untouched, and a source without a window (direct mode,
+// not yet seeded) loads nothing.
+func (s *alfgSource) prefetch(n int) uint64 {
+	if s.state == nil || n <= 0 {
+		return 0
+	}
+	n = min(n, alfgLen)
+	return touchBehind(s.state, int(s.pos), n) + touchBehind(s.state, int(s.tap), n)
+}
+
+// touchBehind touches the n slots cyclically before p — the draw
+// cursors count down, so these are the next n a cursor reads.
+func touchBehind(w []uint64, p, n int) uint64 {
+	if lo := p - n; lo >= 0 {
+		return touchLines(w[lo:p])
+	}
+	return touchLines(w[:p]) + touchLines(w[alfgLen+p-n:])
+}
+
+// touchLines loads every cacheLineWords-th word of w and its last
+// word, which hits every cache line w spans however it is aligned.
+func touchLines(w []uint64) (sum uint64) {
+	if len(w) == 0 {
+		return 0
+	}
+	for i := 0; i < len(w); i += cacheLineWords {
+		sum += w[i]
+	}
+	return sum + w[len(w)-1]
+}
+
 // Seed implements rand.Source: the source restarts from the new seed,
 // dropping any window (a window stream reseeds lazily on next draw).
 // Arena storage of the previous window is not reclaimed.
@@ -338,6 +379,6 @@ func newAlfgRNG(seed int64, arena *Arena, budget int) *RNG {
 	// holds only the source interfaces and scalar read state, so the
 	// copy is safe at construction time.
 	b.rr = *rand.New(&b.src)
-	b.g = RNG{r: &b.rr}
+	b.g = RNG{r: &b.rr, src: &b.src}
 	return &b.g
 }

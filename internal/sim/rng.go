@@ -30,6 +30,9 @@ import (
 // stream per work item (see Streams and the package comment).
 type RNG struct {
 	r *rand.Rand
+	// src is r's source when it is an arena-style ALFG source (nil for
+	// stdlib-backed streams), for Prefetch.
+	src *alfgSource
 }
 
 // NewRNG returns a deterministic generator for the given seed.
@@ -64,6 +67,21 @@ func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 func (g *RNG) ComplexNorm(sigma2 float64) complex128 {
 	s := math.Sqrt(sigma2 / 2)
 	return complex(s*g.r.NormFloat64(), s*g.r.NormFloat64())
+}
+
+// Prefetch hints that about n draws are coming: for a windowed arena
+// stream it touches, with independent loads, every cache line of
+// generator state those draws will read, so their misses overlap
+// instead of stalling one draw each. It never changes the stream — no
+// draw value, cursor or ArenaStats count moves — and is a no-op for
+// direct-mode, not yet seeded and stdlib-backed streams. It returns a
+// fold of the loaded words; the caller must keep it (for example, add
+// it to a field), or the compiler may drop the loads as dead.
+func (g *RNG) Prefetch(n int) uint64 {
+	if g.src == nil {
+		return 0
+	}
+	return g.src.prefetch(n)
 }
 
 // Rayleigh returns a Rayleigh-distributed sample with scale sigma.
